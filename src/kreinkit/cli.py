@@ -36,7 +36,6 @@ from .quasicontraction import (
     extremal_extensions,
     is_member,
     krein_uniqueness_criterion,
-    solvable,
 )
 from .relations import (
     classify,
@@ -44,7 +43,7 @@ from .relations import (
     friedrichs_krein,
     relation_inertia,
 )
-from .spectral import as_symmetric, inertia_of, negativity, norm2, symmetrize
+from .spectral import as_symmetric, inertia_of
 from .tolerances import ToleranceProfile, default_tolerances, set_default_tolerances
 from .verify import available_suites, run_suites
 
@@ -126,15 +125,15 @@ def _cmd_complete(args) -> int:
 def _cmd_extremes(args) -> int:
     tol = _tolerances(args)
     col = SymmetricColumn(jsonio.load_matrix(args.t11), jsonio.load_matrix(args.t21))
-    if not solvable(col, tol):
-        eye = np.eye(col.dim1)
-        t1 = col.stacked()
-        floor = (1.0 + norm2(t1)) ** 2
-        head = negativity(symmetrize(eye - col.t11 @ col.t11), tol, floor=floor)
-        full = negativity(symmetrize(eye - t1.T @ t1), tol, floor=floor)
-        _emit({"solvable": False, "nu_minus_head": head, "nu_minus_column": full})
+    try:
+        pair = extremal_extensions(col, tol)
+    except NotSolvable as exc:
+        _emit({
+            "solvable": False,
+            "nu_minus_head": exc.nu_minus_head,
+            "nu_minus_column": exc.nu_minus_column,
+        })
         return EXIT_INFEASIBLE
-    pair = extremal_extensions(col, tol)
     _emit({
         "solvable": True,
         "t_min": jsonio.matrix_document(pair.t_min),
@@ -225,18 +224,12 @@ def _relation_report(rel, tol) -> dict:
 def _cmd_extensions(args) -> int:
     tol = _tolerances(args)
     rel = jsonio.load_relation(args.relation)
-    try:
-        a_f, a_k = friedrichs_krein(rel, tol)
-    except (NotSolvable, KreinkitError) as exc:
-        if isinstance(exc, NotSolvable):
-            print(f"no minimal-index extension exists: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        raise
+    a_f, a_k = friedrichs_krein(rel, tol)
     report = {
         "friedrichs": _relation_report(a_f, tol),
         "krein_von_neumann": _relation_report(a_k, tol),
-        "kappa": relation_inertia(a_f, tol).i_minus,
     }
+    report["kappa"] = report["friedrichs"]["inertia"]["n_minus"]
     if args.member is not None:
         candidate = jsonio.load_relation(args.member)
         try:

@@ -19,19 +19,16 @@ import numpy as np
 from .errors import DimensionMismatch, NotCompletable
 from .spectral import (
     Inertia,
+    SpectralDecomposition,
     as_matrix,
     as_symmetric,
     inertia_of,
     loewner_leq,
-    modulus_power,
-    negativity,
     norm2,
-    range_factor,
-    range_factor_residual,
-    signature_of,
+    spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, default_tolerances, resolve
+from .tolerances import ToleranceProfile, resolve
 
 __all__ = [
     "IncompleteBlock",
@@ -71,30 +68,38 @@ class IncompleteBlock:
 
 @dataclass(frozen=True)
 class CompletionSolution:
-    """Factor ``s``, signature ``j``, smallest corner ``a22_min``, index ``kappa``."""
+    """Factor ``s``, signature ``j``, smallest corner ``a22_min``, index ``kappa``.
+
+    ``spectrum`` is the decomposition of ``a11`` all of these were read off.
+    """
 
     s: np.ndarray
     j: np.ndarray
     a22_min: np.ndarray
     kappa: int
+    spectrum: SpectralDecomposition
 
 
-def _half_power(a11: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """``|a11|^{1/2}`` with the kernel zero-classified at the data scale.
+def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
+    """Spectrum of ``a11``, ``S = |a11|^{[-1/2]} a12``, the inclusion residual and verdict.
 
-    The fractional power would otherwise turn roundoff kernel eigenvalues
-    into square-root-of-roundoff singular values, polluting every range
-    test downstream; the floor reproduces exactly the classification
-    ``inertia_of`` applies to ``a11`` itself.
+    The spectrum is floored at its own norm, so ``|a11|^{1/2}`` has its
+    kernel zero-classified at the data scale: the fractional power would
+    otherwise turn roundoff kernel eigenvalues into square-root-of-roundoff
+    singular values.  The floor equals the norm, so the classification is
+    exactly the one the inertia of ``a11`` uses.  The residual
+    ``| |a11|^{1/2} S - a12 |`` decides ``ran a12`` inside ``ran |a11|^{1/2}``.
     """
-    return modulus_power(a11, 0.5, tol, floor=norm2(a11))
+    spec = spectral_decompose(blk.a11, tol)
+    spec = spec.with_floor(spec.norm)
+    s = spec.pinv_power(0.5) @ blk.a12
+    residual = norm2(spec.power(0.5) @ s - blk.a12)
+    return spec, s, residual, residual <= tol.residual * (1.0 + norm2(blk.a12))
 
 
 def completable(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> bool:
     """Range-inclusion criterion: ``ran a12`` inside ``ran |a11|^{1/2}``."""
-    tol = resolve(tol)
-    half = _half_power(blk.a11, tol)
-    return range_factor(half, blk.a12, tol) is not None
+    return _factor(blk, resolve(tol))[3]
 
 
 def minimal_completion(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> CompletionSolution:
@@ -104,38 +109,40 @@ def minimal_completion(blk: IncompleteBlock, tol: ToleranceProfile | None = None
     attached) when the range inclusion fails.
     """
     tol = resolve(tol)
-    half = _half_power(blk.a11, tol)
-    s = range_factor(half, blk.a12, tol)
-    if s is None:
-        residual = range_factor_residual(half, blk.a12, tol)
+    spec, s, residual, included = _factor(blk, tol)
+    if not included:
         raise NotCompletable(
             f"ran a12 is not contained in ran |a11|^(1/2); best residual {residual:.3e}",
             residual=residual,
         )
-    j = signature_of(blk.a11, tol)
+    j = spec.sign()
     a22_min = symmetrize(s.T @ j @ s)
-    return CompletionSolution(s=s, j=j, a22_min=a22_min, kappa=negativity(blk.a11, tol))
+    return CompletionSolution(
+        s=s, j=j, a22_min=a22_min, kappa=spec.inertia.n_minus, spectrum=spec
+    )
+
+
+def _corner(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None) -> np.ndarray:
+    """Validate a candidate corner ``a22`` for the block."""
+    a22_sym = as_symmetric(a22, tol)
+    if a22_sym.shape[0] != blk.dim2:
+        raise DimensionMismatch(
+            f"a22 has dim {a22_sym.shape[0]} but the block needs {blk.dim2}"
+        )
+    return a22_sym
 
 
 def is_solution(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None) -> bool:
     """Interval membership test: ``a22`` is admissible iff ``a22 >= a22_min``."""
     tol = resolve(tol)
     sol = minimal_completion(blk, tol)
-    a22_sym = as_symmetric(a22, tol)
-    if a22_sym.shape[0] != blk.dim2:
-        raise DimensionMismatch(
-            f"a22 has dim {a22_sym.shape[0]} but the block needs {blk.dim2}"
-        )
+    a22_sym = _corner(blk, a22, tol)
     return loewner_leq(sol.a22_min, a22_sym, tol)
 
 
 def assemble(blk: IncompleteBlock, a22) -> np.ndarray:
     """Assemble the full symmetric block matrix with corner ``a22``."""
-    a22_sym = as_symmetric(a22)
-    if a22_sym.shape[0] != blk.dim2:
-        raise DimensionMismatch(
-            f"a22 has dim {a22_sym.shape[0]} but the block needs {blk.dim2}"
-        )
+    a22_sym = _corner(blk, a22)
     top = np.hstack([blk.a11, blk.a12])
     bottom = np.hstack([blk.a12.T, a22_sym])
     return symmetrize(np.vstack([top, bottom]))
@@ -149,14 +156,10 @@ def schur_inertia(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None
     """
     tol = resolve(tol)
     sol = minimal_completion(blk, tol)
-    a22_sym = as_symmetric(a22, tol)
-    if a22_sym.shape[0] != blk.dim2:
-        raise DimensionMismatch(
-            f"a22 has dim {a22_sym.shape[0]} but the block needs {blk.dim2}"
-        )
+    a22_sym = _corner(blk, a22, tol)
     corner_floor = 1.0 + norm2(a22_sym) + norm2(sol.a22_min)
     corner = inertia_of(symmetrize(a22_sym - sol.a22_min), tol, floor=corner_floor)
-    head = inertia_of(blk.a11, tol)
+    head = sol.spectrum.inertia
     return Inertia(
         n_plus=head.n_plus + corner.n_plus,
         n_minus=head.n_minus + corner.n_minus,
@@ -168,9 +171,10 @@ def schur_inertia(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None
 def reconstruction(blk: IncompleteBlock, sol: CompletionSolution) -> np.ndarray:
     """Rebuild the minimal completion from its factor: ``L^T J L``.
 
-    ``L = [|a11|^{1/2}, J s]`` row block; useful as an independent residual
-    check on the factorization.
+    ``L = [|a11|^{1/2}, J s]`` row block, with the half power read off the
+    spectrum the solution carries (so under the solution's own profile);
+    useful as an independent residual check on the factorization.
     """
-    half = _half_power(blk.a11, default_tolerances())
+    half = sol.spectrum.power(0.5)
     left = np.hstack([half, sol.j @ sol.s])
     return symmetrize(left.T @ sol.j @ left)

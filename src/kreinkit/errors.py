@@ -63,7 +63,17 @@ class IndexMismatch(KreinkitError):
 
 
 class NotSolvable(KreinkitError):
-    """The solvability criterion for the extension problem fails."""
+    """The solvability criterion for the extension problem fails.
+
+    For a symmetric column, ``nu_minus_head`` and ``nu_minus_column`` carry
+    the two negative indices ``nu_-(I - T11^2)`` and ``nu_-(I - T1^T T1)``
+    the criterion compares; both are ``None`` otherwise.
+    """
+
+    def __init__(self, message, nu_minus_head=None, nu_minus_column=None):
+        super().__init__(message)
+        self.nu_minus_head = nu_minus_head
+        self.nu_minus_column = nu_minus_column
 
 
 class NotAnExtension(KreinkitError):

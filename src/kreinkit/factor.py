@@ -19,13 +19,10 @@ from .spectral import (
     as_symmetric,
     inertia_of,
     loewner_leq,
-    moore_penrose_power,
     negativity,
     norm2,
-    projector,
     rank_of,
-    signature_of,
-    signed_eigenbases,
+    spectral_decompose,
     symmetrize,
 )
 from .tolerances import ToleranceProfile, default_tolerances, resolve
@@ -158,6 +155,17 @@ def _classify(
     return "none"
 
 
+def _operands(a, b, j2: JSpace, tol: ToleranceProfile):
+    """Validate symmetric ``A`` and ``B`` into the ``J2``-space; decompose ``A`` once."""
+    a_sym = as_symmetric(a, tol)
+    b_arr = as_matrix(b)
+    if b_arr.shape != (j2.dim, a_sym.shape[0]):
+        raise DimensionMismatch(
+            f"B has shape {b_arr.shape}, expected ({j2.dim}, {a_sym.shape[0]})"
+        )
+    return a_sym, b_arr, spectral_decompose(a_sym, tol)
+
+
 def schur_negativity_factor(
     a, b, j2: JSpace, tol: ToleranceProfile | None = None
 ) -> JFactorResult | None:
@@ -170,18 +178,13 @@ def schur_negativity_factor(
     returned.
     """
     tol = resolve(tol)
-    a_sym = as_symmetric(a, tol)
-    b_arr = as_matrix(b)
-    if b_arr.shape != (j2.dim, a_sym.shape[0]):
-        raise DimensionMismatch(
-            f"B has shape {b_arr.shape}, expected ({j2.dim}, {a_sym.shape[0]})"
-        )
+    a_sym, b_arr, spec = _operands(a, b, j2, tol)
     schur = symmetrize(a_sym - b_arr.T @ j2.j @ b_arr)
-    schur_floor = 1.0 + norm2(a_sym) + norm2(b_arr) ** 2
-    if negativity(a_sym, tol) != negativity(schur, tol, floor=schur_floor) + j2.negativity(tol):
+    schur_floor = 1.0 + spec.norm + norm2(b_arr) ** 2
+    if spec.inertia.n_minus != negativity(schur, tol, floor=schur_floor) + j2.negativity(tol):
         return None
-    k = moore_penrose_power(a_sym, 0.5, tol) @ b_arr.T
-    j_a = signature_of(a_sym, tol)
+    k = spec.pinv_power(0.5) @ b_arr.T
+    j_a = spec.sign()
     defect = symmetrize(j2.j - k.T @ j_a @ k)
     # the source side of K is the full J2-space, so no restriction is needed
     target_gram = symmetrize(j_a - k @ j2.j @ k.T)
@@ -210,13 +213,8 @@ def douglas_factor(
     tol = resolve(tol)
     if mode not in ("inequality", "equality"):
         raise InvalidInput(f"mode must be 'inequality' or 'equality', got {mode!r}")
-    a_sym = as_symmetric(a, tol)
-    b_arr = as_matrix(b)
-    if b_arr.shape != (j2.dim, a_sym.shape[0]):
-        raise DimensionMismatch(
-            f"B has shape {b_arr.shape}, expected ({j2.dim}, {a_sym.shape[0]})"
-        )
-    kappa_a = negativity(a_sym, tol)
+    a_sym, b_arr, spec = _operands(a, b, j2, tol)
+    kappa_a = spec.inertia.n_minus
     kappa_j = j2.negativity(tol)
     if kappa_a != kappa_j:
         raise HypothesisViolated(
@@ -227,12 +225,11 @@ def douglas_factor(
         if not loewner_leq(gram, a_sym, tol):
             return None
     else:
-        if norm2(a_sym - gram) > tol.residual * (1.0 + norm2(a_sym) + norm2(gram)):
+        if norm2(a_sym - gram) > tol.residual * (1.0 + spec.norm + norm2(gram)):
             return None
-    c = b_arr @ moore_penrose_power(a_sym, 0.5, tol)
-    j_a = signature_of(a_sym, tol)
-    plus, minus, _ = signed_eigenbases(a_sym, tol)
-    p_range = projector(np.hstack([plus, minus]))
+    c = b_arr @ spec.pinv_power(0.5)
+    j_a = spec.sign()
+    p_range = spec.range_projector()
     source_gram = symmetrize(j_a - c.T @ j2.j @ c)
     target_gram = symmetrize(j2.j - c @ j_a @ c.T)
     surjective = rank_of(b_arr, tol) == j2.dim if mode == "equality" else None
@@ -257,17 +254,12 @@ def bicontraction_classify(
     the strongest applicable case wins and carries the witness factor.
     """
     tol = resolve(tol)
-    a_sym = as_symmetric(a, tol)
-    b_arr = as_matrix(b)
-    if b_arr.shape != (j2.dim, a_sym.shape[0]):
-        raise DimensionMismatch(
-            f"B has shape {b_arr.shape}, expected ({j2.dim}, {a_sym.shape[0]})"
-        )
-    if negativity(a_sym, tol) != j2.negativity(tol):
+    a_sym, b_arr, spec = _operands(a, b, j2, tol)
+    if spec.inertia.n_minus != j2.negativity(tol):
         return BicontractionCase(case="neither", witness=None)
     gram = symmetrize(b_arr.T @ j2.j @ b_arr)
-    witness = b_arr @ moore_penrose_power(a_sym, 0.5, tol)
-    if norm2(a_sym - gram) <= tol.residual * (1.0 + norm2(a_sym) + norm2(gram)):
+    witness = b_arr @ spec.pinv_power(0.5)
+    if norm2(a_sym - gram) <= tol.residual * (1.0 + spec.norm + norm2(gram)):
         return BicontractionCase(case="ii", witness=witness)
     if loewner_leq(gram, a_sym, tol):
         return BicontractionCase(case="i", witness=witness)

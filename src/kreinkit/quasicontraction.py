@@ -24,15 +24,13 @@ from .errors import (
 from .factor import JSpace
 from .lifting import defect_data, j_isometry_test
 from .spectral import (
+    SpectralDecomposition,
     as_matrix,
     as_symmetric,
     loewner_leq,
-    modulus_power,
-    moore_penrose_power,
     negativity,
     norm2,
-    range_factor_residual,
-    signature_of,
+    spectral_decompose,
     symmetrize,
 )
 from .tolerances import ToleranceProfile, resolve
@@ -126,66 +124,77 @@ def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
     return minus, plus
 
 
-def solvable(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> bool:
-    """Minimal-index solvability: ``nu_-(I - T11^2) == nu_-(I - T1^T T1)``."""
-    tol = resolve(tol)
+def _column_counts(col: SymmetricColumn, tol: ToleranceProfile):
+    """Spectrum of ``I - T11^2`` and the two counts of the solvability criterion.
+
+    Returns ``(spectrum, nu_-(I - T11^2), nu_-(I - T1^T T1))``, both counts
+    taken at the scale ``(1 + |T1|)^2`` of the whole column.
+    """
     eye = np.eye(col.dim1)
     t1 = col.stacked()
     floor = (1.0 + norm2(t1)) ** 2
-    head = negativity(symmetrize(eye - col.t11 @ col.t11), tol, floor=floor)
+    head = spectral_decompose(symmetrize(eye - col.t11 @ col.t11), tol, floor=floor)
     full = negativity(symmetrize(eye - t1.T @ t1), tol, floor=floor)
+    return head, head.inertia.n_minus, full
+
+
+def solvable(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> bool:
+    """Minimal-index solvability: ``nu_-(I - T11^2) == nu_-(I - T1^T T1)``."""
+    _, head, full = _column_counts(col, resolve(tol))
     return head == full
 
 
-def _extremal_blocks(t11: np.ndarray, t21: np.ndarray, tol: ToleranceProfile):
-    """Assemble the two extreme extensions from the column data."""
+def _extremal_blocks(t11: np.ndarray, t21: np.ndarray, defect: SpectralDecomposition):
+    """Assemble the two extreme extensions from the column data.
+
+    ``defect`` is the spectrum of ``I - t11^2``, which is the same for the
+    column and its negation.
+    """
     n1 = t11.shape[0]
     n2 = t21.shape[0]
     eye1 = np.eye(n1)
-    floor = (1.0 + norm2(t11)) ** 2
-    defect_sq = symmetrize(eye1 - t11 @ t11)
-    d = modulus_power(defect_sq, 0.5, tol, floor=floor)
-    j = signature_of(defect_sq, tol, floor=floor)
-    v = t21 @ moore_penrose_power(defect_sq, 0.5, tol, floor=floor)
+    d = defect.power(0.5)
+    j = defect.sign()
+    v = t21 @ defect.pinv_power(0.5)
     coupling = d @ v.T
     eye2 = np.eye(n2)
     corner_min = symmetrize(-eye2 + v @ (eye1 - t11) @ j @ v.T)
     corner_max = symmetrize(eye2 - v @ (eye1 + t11) @ j @ v.T)
     t_min = np.vstack([np.hstack([t11, coupling]), np.hstack([coupling.T, corner_min])])
     t_max = np.vstack([np.hstack([t11, coupling]), np.hstack([coupling.T, corner_max])])
-    return symmetrize(t_min), symmetrize(t_max), v, j, d
+    return symmetrize(t_min), symmetrize(t_max), v, j, coupling
 
 
 def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> ExtremalPair:
     """Construct the extreme extensions ``t_min`` and ``t_max``.
 
-    Raises :class:`NotSolvable` when the index criterion fails.  The
-    construction is verified: the coupling range inclusion, the preserved
-    negative index of both extremes, and the negation duality
-    ``(-T)_min = -T_max`` (checked by direct reassembly).
+    Raises :class:`NotSolvable`, carrying the two counts, when the index
+    criterion fails.  The construction is verified: the coupling range
+    inclusion, the preserved negative index of both extremes, and the
+    negation duality ``(-T)_min = -T_max`` (checked by direct reassembly).
+    ``I - T11^2`` is decomposed once; its blocks, its index and the
+    reassembly are read off that spectrum at the scale ``(1 + |T11|)^2``.
     """
     tol = resolve(tol)
-    if not solvable(col, tol):
-        eye = np.eye(col.dim1)
-        t1 = col.stacked()
-        floor = (1.0 + norm2(t1)) ** 2
-        head = negativity(symmetrize(eye - col.t11 @ col.t11), tol, floor=floor)
-        full = negativity(symmetrize(eye - t1.T @ t1), tol, floor=floor)
+    defect, head, full = _column_counts(col, tol)
+    if head != full:
         raise NotSolvable(
-            f"nu_-(I - T11^2) = {head} differs from nu_-(I - T1^T T1) = {full}"
+            f"nu_-(I - T11^2) = {head} differs from nu_-(I - T1^T T1) = {full}",
+            nu_minus_head=head,
+            nu_minus_column=full,
         )
     eye1 = np.eye(col.dim1)
     head_floor = (1.0 + norm2(col.t11)) ** 2
-    defect_sq = symmetrize(eye1 - col.t11 @ col.t11)
-    d = modulus_power(defect_sq, 0.5, tol, floor=head_floor)
-    inclusion_residual = range_factor_residual(d, col.t21.T, tol)
+    defect = defect.with_floor(head_floor)
+    t_min, t_max, v, j, coupling = _extremal_blocks(col.t11, col.t21, defect)
+    # coupling = D V^T = D |I - T11^2|^{[-1/2]} T21^T is the best factor of T21^T
+    inclusion_residual = norm2(coupling - col.t21.T)
     if inclusion_residual > tol.residual * (1.0 + norm2(col.t21)):
         raise ConsistencyError(
             f"coupling rows leave the defect range (residual {inclusion_residual:.3e}) "
             "although the index criterion holds"
         )
-    t_min, t_max, v, j, _ = _extremal_blocks(col.t11, col.t21, tol)
-    kappa = negativity(symmetrize(eye1 - col.t11 @ col.t11), tol, floor=head_floor)
+    kappa = defect.inertia.n_minus
     kappa_minus = negativity(symmetrize(eye1 + col.t11), tol, floor=head_floor)
     kappa_plus = negativity(symmetrize(eye1 - col.t11), tol, floor=head_floor)
     eye = np.eye(col.dim1 + col.dim2)
@@ -201,7 +210,7 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
                 f"{name} has boundary counts ({below}, {above}), "
                 f"expected ({kappa_minus}, {kappa_plus})"
             )
-    neg_min, neg_max, _, _, _ = _extremal_blocks(-col.t11, -col.t21, tol)
+    neg_min, neg_max, _, _, _ = _extremal_blocks(-col.t11, -col.t21, defect)
     scale = 1.0 + norm2(t_min) + norm2(t_max)
     if norm2(neg_min + t_max) > tol.residual * scale or norm2(neg_max + t_min) > tol.residual * scale:
         raise ConsistencyError("negation duality of the extreme extensions failed")

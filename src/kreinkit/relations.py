@@ -30,7 +30,6 @@ from .errors import (
 )
 from .quasicontraction import SymmetricColumn, extremal_extensions, uniqueness_gap
 from .spectral import (
-    Inertia,
     as_matrix,
     as_symmetric,
     complement_basis,
@@ -41,6 +40,7 @@ from .spectral import (
     nullspace_basis,
     orthonormal_columns,
     projector,
+    spectral_decompose,
     subspace_distance,
     symmetrize,
 )
@@ -257,8 +257,8 @@ def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -
     if not cls.selfadjoint:
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
     u, m = operator_part(rel, tol)
-    floor = 1.0 + norm2(m)
-    counts = inertia_of(m, tol, floor=floor) if m.size else Inertia(0, 0, 0, 0)
+    spec = spectral_decompose(m, tol)
+    counts = spec.with_floor(1.0 + spec.norm).inertia
     i_inf = rel.space_dim - u.shape[1]
     return RelationInertia(counts.n_plus, counts.n_minus, counts.n_zero, i_inf)
 

@@ -6,6 +6,20 @@ kernel signed ``+1``, fractional moduli ``|A|^p``, Moore-Penrose powers
 ``|A|^{[-p]}``, range-inclusion factorization, Loewner-order comparison,
 and a small kit of orthonormal-subspace helpers.
 
+A symmetric matrix is decomposed once; every spectral quantity is then
+read off the one :class:`SpectralDecomposition`::
+
+    spec = kk.spectral_decompose(a, tol, floor)   # one eigh
+    spec.inertia                 # Inertia(n_plus, n_minus, n_zero, 0)
+    spec.sign()                  # J = sign(A), kernel signed +1
+    spec.power(0.5)              # |A|^{1/2}
+    spec.pinv_power(0.5)         # |A|^{[-1/2]}
+    spec.range_projector()       # projector onto ran A
+    spec.with_floor(f).inertia   # counted again under another floor
+
+The free functions (``inertia_of``, ``signature_of``, ``modulus_power``
+and the rest) decompose their argument and read one quantity off it.
+
 All functions are pure: they accept plain ``numpy`` arrays (or array
 likes), never mutate their arguments, and return fresh arrays.  Matrices
 are real; the adjoint is the transpose.
@@ -13,7 +27,7 @@ are real; the adjoint is the transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +43,6 @@ __all__ = [
     "norm2",
     "spectral_decompose",
     "inertia_of",
-    "inertia_from_eigenvalues",
     "negativity",
     "signature_of",
     "modulus_power",
@@ -65,14 +78,101 @@ class Inertia:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and an orthonormal eigenvector matrix."""
+    """Eigendecomposition of a symmetric matrix with its zero classification.
+
+    ``eigenvalues`` ascend and ``eigenvectors`` are orthonormal.  An
+    eigenvalue classifies as zero when ``|lambda| <= threshold``, where
+    ``threshold = zero * dim * max(norm, floor)``; the floor guards
+    matrices that are zero up to roundoff at a scale the caller knows but
+    the spectrum does not carry.  Every spectral quantity of the matrix is
+    read off this one value, so each matrix is decomposed once.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    tol: ToleranceProfile | None = None
+    floor: float = 0.0
+    threshold: float = field(init=False)
+
+    def __post_init__(self):
+        tol = resolve(self.tol)
+        object.__setattr__(self, "tol", tol)
+        thr = 0.0
+        if self.eigenvalues.size:
+            thr = tol.zero * self.eigenvalues.size * max(self.norm, self.floor)
+        object.__setattr__(self, "threshold", thr)
+
+    def with_floor(self, floor: float) -> "SpectralDecomposition":
+        """The same spectrum re-thresholded under another floor."""
+        return replace(self, floor=floor)
+
+    @property
+    def norm(self) -> float:
+        """Spectral norm, the largest eigenvalue modulus; zero when empty."""
+        w = self.eigenvalues
+        return float(np.max(np.abs(w))) if w.size else 0.0
+
+    @property
+    def inertia(self) -> Inertia:
+        w, thr = self.eigenvalues, self.threshold
+        n_minus = int(np.count_nonzero(w < -thr))
+        n_plus = int(np.count_nonzero(w > thr))
+        return Inertia(n_plus, n_minus, w.size - n_plus - n_minus, 0)
+
+    def _compose(self, values: np.ndarray) -> np.ndarray:
+        v = self.eigenvectors
+        return symmetrize(v @ np.diag(values) @ v.T)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return v @ np.diag(self.eigenvalues) @ v.T
+
+    def sign(self) -> np.ndarray:
+        """Signature involution ``J`` with the kernel signed ``+1``."""
+        return self._compose(np.where(self.eigenvalues >= -self.threshold, 1.0, -1.0))
+
+    def power(self, p: float) -> np.ndarray:
+        """``|A|^p`` for ``p >= 0``.
+
+        With a zero floor the eigenvalues are powered exactly.  A positive
+        floor zeroes eigenvalues at or below the threshold first, so a
+        matrix that is zero up to roundoff at the caller's scale has an
+        exactly vanishing power (fractional powers amplify noise otherwise).
+        """
+        if p < 0:
+            raise InvalidInput(f"modulus power requires p >= 0, got {p}")
+        w = self.eigenvalues
+        if self.floor > 0.0:
+            w = np.where(np.abs(w) > self.threshold, w, 0.0)
+        return self._compose(np.abs(w) ** p)
+
+    def pinv_power(self, p: float) -> np.ndarray:
+        """``|A|^{[-p]}``, the Moore-Penrose inverse of ``|A|^p``, for ``p > 0``.
+
+        Eigenvalues at or below the threshold map to zero, so the result
+        vanishes on the kernel of ``A`` and maps into its range.
+        """
+        if p <= 0:
+            raise InvalidInput(f"Moore-Penrose power requires p > 0, got {p}")
+        absw = np.abs(self.eigenvalues)
+        keep = absw > self.threshold
+        return self._compose(np.where(keep, np.where(keep, absw, 1.0) ** (-p), 0.0))
+
+    def pinv(self) -> np.ndarray:
+        """Sign-respecting Moore-Penrose inverse ``A^+``."""
+        w = self.eigenvalues
+        keep = np.abs(w) > self.threshold
+        return self._compose(np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0))
+
+    def bases(self):
+        """Orthonormal bases of the positive, negative, and zero eigenspaces."""
+        w, v, thr = self.eigenvalues, self.eigenvectors, self.threshold
+        return v[:, w > thr], v[:, w < -thr], v[:, np.abs(w) <= thr]
+
+    def range_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the range (the nonzero eigenspaces)."""
+        plus, minus, _ = self.bases()
+        return projector(np.hstack([plus, minus]))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -120,55 +220,32 @@ def norm2(a) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
-def spectral_decompose(a, tol: ToleranceProfile | None = None) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix.
+def spectral_decompose(
+    a, tol: ToleranceProfile | None = None, floor: float = 0.0
+) -> SpectralDecomposition:
+    """Validate a symmetric matrix and decompose it once.
 
+    Eigenvalues with ``|lambda| <= zero * dim * norm`` classify as zero; a
+    positive ``floor`` replaces the norm when the matrix itself is smaller.
     Raises :class:`EigenSolverError` if the solver fails to converge.
     """
+    tol = resolve(tol)
     sym = as_symmetric(a, tol)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigenSolverError(str(exc)) from exc
-    return SpectralDecomposition(w, v)
-
-
-def _zero_threshold(eigenvalues: np.ndarray, tol: ToleranceProfile, floor: float = 0.0) -> float:
-    """Zero-classification threshold, relative to the spectrum with an optional floor.
-
-    The floor guards constructions whose result is an exact zero matrix up
-    to roundoff (defect forms at theorem boundaries): there the spectrum
-    itself carries no scale and the caller supplies one.
-    """
-    if eigenvalues.size == 0:
-        return 0.0
-    scale = max(float(np.max(np.abs(eigenvalues))), floor)
-    return tol.zero * eigenvalues.size * scale
-
-
-def inertia_from_eigenvalues(
-    eigenvalues, tol: ToleranceProfile | None = None, floor: float = 0.0
-) -> Inertia:
-    tol = resolve(tol)
-    w = np.asarray(eigenvalues, dtype=float)
-    thr = _zero_threshold(w, tol, floor)
-    n_minus = int(np.count_nonzero(w < -thr))
-    n_plus = int(np.count_nonzero(w > thr))
-    return Inertia(n_plus, n_minus, w.size - n_plus - n_minus, 0)
+    return SpectralDecomposition(w, v, tol, floor)
 
 
 def inertia_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> Inertia:
-    """Inertia of a symmetric matrix.
-
-    Eigenvalues with ``|lambda| <= zero * dim * norm`` classify as zero; a
-    positive ``floor`` replaces the norm when the matrix itself is smaller.
-    """
-    return inertia_from_eigenvalues(spectral_decompose(a, tol).eigenvalues, tol, floor)
+    """Inertia of a symmetric matrix (see :func:`spectral_decompose`)."""
+    return spectral_decompose(a, tol, floor).inertia
 
 
 def negativity(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> int:
     """Number of negative eigenvalues (the negative index)."""
-    return inertia_of(a, tol, floor).n_minus
+    return spectral_decompose(a, tol, floor).inertia.n_minus
 
 
 def signature_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> np.ndarray:
@@ -177,66 +254,24 @@ def signature_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> 
     ``J`` is orthogonal, ``J^2 = I``, and ``J |A| = A`` up to the zero
     classification threshold.
     """
-    tol = resolve(tol)
-    dec = spectral_decompose(a, tol)
-    thr = _zero_threshold(dec.eigenvalues, tol, floor)
-    signs = np.where(dec.eigenvalues >= -thr, 1.0, -1.0)
-    v = dec.eigenvectors
-    return symmetrize(v @ np.diag(signs) @ v.T)
+    return spectral_decompose(a, tol, floor).sign()
 
 
 def modulus_power(a, p: float, tol: ToleranceProfile | None = None, floor: float = 0.0) -> np.ndarray:
-    """Return ``|A|^p`` through the eigendecomposition; requires ``p >= 0``.
-
-    With the default ``floor`` the eigenvalues are powered exactly.  A
-    positive ``floor`` zeroes eigenvalues below the floored threshold
-    first, so a matrix that is zero up to roundoff at the caller's scale
-    has an exactly vanishing power (fractional powers amplify noise
-    otherwise).
-    """
-    if p < 0:
-        raise InvalidInput(f"modulus power requires p >= 0, got {p}")
-    tol = resolve(tol)
-    dec = spectral_decompose(a, tol)
-    w = dec.eigenvalues
-    if floor > 0.0:
-        thr = _zero_threshold(w, tol, floor)
-        w = np.where(np.abs(w) > thr, w, 0.0)
-    vals = np.abs(w) ** p
-    v = dec.eigenvectors
-    return symmetrize(v @ np.diag(vals) @ v.T)
+    """Return ``|A|^p``; see :meth:`SpectralDecomposition.power`."""
+    return spectral_decompose(a, tol, floor).power(p)
 
 
 def moore_penrose_power(
     a, p: float, tol: ToleranceProfile | None = None, floor: float = 0.0
 ) -> np.ndarray:
-    """Return ``|A|^{[-p]}``, the Moore-Penrose inverse of ``|A|^p``.
-
-    Eigenvalues at or below the zero threshold map to zero, so the result
-    vanishes on the kernel of ``A`` and maps into its range.
-    """
-    if p <= 0:
-        raise InvalidInput(f"Moore-Penrose power requires p > 0, got {p}")
-    tol = resolve(tol)
-    dec = spectral_decompose(a, tol)
-    thr = _zero_threshold(dec.eigenvalues, tol, floor)
-    absw = np.abs(dec.eigenvalues)
-    safe = np.where(absw > thr, absw, 1.0)
-    vals = np.where(absw > thr, safe ** (-p), 0.0)
-    v = dec.eigenvectors
-    return symmetrize(v @ np.diag(vals) @ v.T)
+    """Return ``|A|^{[-p]}``; see :meth:`SpectralDecomposition.pinv_power`."""
+    return spectral_decompose(a, tol, floor).pinv_power(p)
 
 
 def pinv_symmetric(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> np.ndarray:
     """Sign-respecting Moore-Penrose inverse of a symmetric matrix."""
-    tol = resolve(tol)
-    dec = spectral_decompose(a, tol)
-    thr = _zero_threshold(dec.eigenvalues, tol, floor)
-    w = dec.eigenvalues
-    safe = np.where(np.abs(w) > thr, w, 1.0)
-    vals = np.where(np.abs(w) > thr, 1.0 / safe, 0.0)
-    v = dec.eigenvectors
-    return symmetrize(v @ np.diag(vals) @ v.T)
+    return spectral_decompose(a, tol, floor).pinv()
 
 
 def range_factor(m, b, tol: ToleranceProfile | None = None) -> np.ndarray | None:
@@ -259,15 +294,6 @@ def range_factor(m, b, tol: ToleranceProfile | None = None) -> np.ndarray | None
     if residual > tol.residual * (1.0 + norm2(b_arr)):
         return None
     return s
-
-
-def range_factor_residual(m, b, tol: ToleranceProfile | None = None) -> float:
-    """Least-squares residual of the best range factor (for diagnostics)."""
-    tol = resolve(tol)
-    m_sym = as_symmetric(m, tol)
-    b_arr = as_matrix(b)
-    s = pinv_symmetric(m_sym, tol) @ b_arr
-    return norm2(m_sym @ s - b_arr)
 
 
 def loewner_leq(a, b, tol: ToleranceProfile | None = None) -> bool:
@@ -380,8 +406,4 @@ def intersect_subspaces(q1, q2, tol: ToleranceProfile | None = None) -> np.ndarr
 
 def signed_eigenbases(a, tol: ToleranceProfile | None = None, floor: float = 0.0):
     """Orthonormal bases of the positive, negative, and zero eigenspaces."""
-    tol = resolve(tol)
-    dec = spectral_decompose(a, tol)
-    thr = _zero_threshold(dec.eigenvalues, tol, floor)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    return v[:, w > thr], v[:, w < -thr], v[:, np.abs(w) <= thr]
+    return spectral_decompose(a, tol, floor).bases()

@@ -13,6 +13,7 @@ from kreinkit.completion import (
 )
 from kreinkit.errors import DimensionMismatch, NotCompletable
 from kreinkit.spectral import norm2, symmetrize
+from kreinkit.tolerances import ToleranceProfile, default_tolerances, set_default_tolerances
 
 E1 = IncompleteBlock(np.diag([1.0, -1.0]), np.array([[1.0], [1.0]]))
 
@@ -148,3 +149,20 @@ def test_schur_inertia_matches_direct_count():
         )
         a22 = gens.random_symmetric(rng, n2)
         assert schur_inertia(blk, a22).n_minus == nu_minus(assemble(blk, a22))
+
+
+def test_reconstruction_uses_the_solution_profile():
+    # 1e-7 is a kernel eigenvalue under zero=1e-6 but not under the default
+    blk = IncompleteBlock(np.diag([1.0, -1.0, 1e-7]), np.array([[1.0], [2.0], [0.0]]))
+    sol = minimal_completion(blk, ToleranceProfile(zero=1e-6))
+    before = reconstruction(blk, sol)
+    saved = default_tolerances()
+    try:
+        set_default_tolerances(ToleranceProfile(zero=1e-5))
+        after = reconstruction(blk, sol)
+    finally:
+        set_default_tolerances(saved)
+    assert np.array_equal(before, after)
+    # the head block is |a11|^{1/2} J |a11|^{1/2}, with the kernel dropped
+    assert np.allclose(before[:3, :3], np.diag([1.0, -1.0, 0.0]), rtol=0.0, atol=1e-12)
+    assert np.allclose(before[3:, 3:], sol.a22_min, rtol=0.0, atol=1e-12)

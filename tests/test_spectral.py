@@ -176,3 +176,23 @@ def test_subspace_helpers():
     assert cap.shape[1] == 1
     assert subspace_distance(cap, np.eye(3)[:, 1:2]) <= 1e-10
     assert intersect_subspaces(e1, np.eye(3)[:, 2:]).shape[1] == 0
+
+
+def test_quantities_read_off_one_decomposition():
+    a = np.diag([3.0, -2.0, 1e-8, 0.0])
+    spec = spectral_decompose(a)
+    assert spec.norm == 3.0
+    assert spec.inertia == inertia_of(a) == Inertia(2, 1, 1, 0)
+    assert np.array_equal(spec.sign(), signature_of(a))
+    assert np.array_equal(spec.power(0.5), modulus_power(a, 0.5))
+    assert np.array_equal(spec.pinv_power(0.5), moore_penrose_power(a, 0.5))
+    assert np.array_equal(spec.pinv(), pinv_symmetric(a))
+    assert np.allclose(spec.range_projector(), np.diag([1.0, 1.0, 1.0, 0.0]))
+    # a second floor re-thresholds the same eigenvalues
+    floored = spec.with_floor(100.0)
+    assert floored.eigenvalues is spec.eigenvalues
+    assert floored.inertia == inertia_of(a, floor=100.0) == Inertia(1, 1, 2, 0)
+    assert np.allclose(floored.range_projector(), np.diag([1.0, 1.0, 0.0, 0.0]))
+    # only a positive floor zeroes sub-threshold eigenvalues in a power
+    assert np.allclose(floored.power(0.5), np.diag([np.sqrt(3.0), np.sqrt(2.0), 0.0, 0.0]))
+    assert spec.power(0.5)[2, 2] > 0.0
