@@ -35,7 +35,6 @@ from .quasicontraction import (
     SymmetricColumn,
     extremal_extensions,
     is_member,
-    krein_uniqueness_criterion,
 )
 from .relations import (
     classify,
@@ -141,7 +140,7 @@ def _cmd_extremes(args) -> int:
         "kappa": pair.kappa,
         "kappa_plus": pair.kappa_plus,
         "kappa_minus": pair.kappa_minus,
-        "unique": bool(krein_uniqueness_criterion(col, tol)),
+        "unique": pair.unique(tol),
     })
     return EXIT_OK
 

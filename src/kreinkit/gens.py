@@ -11,7 +11,6 @@ threshold.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spectral import norm2, orthonormal_columns, signed_eigenbases, symmetrize
 
@@ -94,6 +93,9 @@ def random_contraction(rng: np.random.Generator, m: int, n: int, max_norm: float
 
 def random_j_unitary(rng: np.random.Generator, j: np.ndarray, magnitude: float = 0.7) -> np.ndarray:
     """J-unitary twist ``exp(J W)`` with ``W`` skew-symmetric."""
+    # imported here so that the CLI starts without loading scipy
+    from scipy.linalg import expm
+
     n = j.shape[0]
     if n == 0:
         return np.zeros((0, 0))

@@ -103,6 +103,12 @@ class ExtremalPair:
     def dim2(self) -> int:
         return self.v.shape[0]
 
+    def unique(self, tol: ToleranceProfile | None = None) -> bool:
+        """``t_min == t_max``, decided algebraically through ``I - V J V^T = 0``."""
+        tol = resolve(tol)
+        defect = np.eye(self.dim2) - self.v @ self.j @ self.v.T
+        return bool(norm2(defect) <= tol.residual * (1.0 + norm2(self.v) ** 2))
+
 
 def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
     """Counts ``(nu_-(I + T), nu_-(I - T))`` for symmetric ``T``.
@@ -274,7 +280,4 @@ def krein_uniqueness_criterion(col: SymmetricColumn, tol: ToleranceProfile | Non
     Decided algebraically through ``I - V J V^T = 0``; the sup-of-ratio
     form of the criterion is exercised in the test suite only.
     """
-    tol = resolve(tol)
-    pair = extremal_extensions(col, tol)
-    defect = np.eye(pair.dim2) - pair.v @ pair.j @ pair.v.T
-    return norm2(defect) <= tol.residual * (1.0 + norm2(pair.v) ** 2)
+    return extremal_extensions(col, tol).unique(tol)

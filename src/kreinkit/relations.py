@@ -1,14 +1,16 @@
 """Linear relations as graph subspaces and their extension theory.
 
 A linear relation on an ``n``-dimensional space is a subspace of the
-doubled space, held here through an orthonormal basis of its graph
-(canonicalized on construction, so equality is projector equality).  The
-module provides the relation calculus (adjoint, inverse, shift, Cayley
-transform), classification and inertia, the boundary form with the
-projection onto ``ran(I + A)`` inserted, the Friedrichs and Krein-von
-Neumann extensions of a symmetric relation with minimal negative index,
-the resolvent order with its interval characterizations, and the
-antitonicity and uniqueness criteria.
+doubled space, held here through a read-only orthonormal basis
+``[F; F']`` of its graph (canonicalized on construction, so equality is
+projector equality).  One SVD ``F = U S V^T``, computed on first use,
+gives the domain, its complement, the multivalued part and the operator
+part under one rank cutoff.  The module provides the relation calculus
+(adjoint, inverse, shift, Cayley transform), classification and inertia,
+the boundary form with the projection onto ``ran(I + A)`` inserted, the
+Friedrichs and Krein-von Neumann extensions of a symmetric relation with
+minimal negative index, the resolvent order with its interval
+characterizations, and the antitonicity and uniqueness criteria.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .spectral import (
     loewner_leq,
     negativity,
     norm2,
-    nullspace_basis,
     orthonormal_columns,
     projector,
     spectral_decompose,
@@ -54,7 +55,6 @@ __all__ = [
     "classify",
     "relation_inertia",
     "operator_part",
-    "as_bounded_operator",
     "resolvent_matrix",
     "form_a1",
     "friedrichs_krein",
@@ -102,11 +102,21 @@ class LinearRelation:
     first and second components of the spanning graph elements.  Generator
     representations are wildly non-unique, so everything relation-valued is
     reduced to this canonical form immediately and compared by projectors.
+    The basis is read-only, so the graph decomposition computed from it on
+    first use stays valid for the relation's lifetime.
     """
 
     def __init__(self, space_dim: int, basis: np.ndarray):
         self.space_dim = int(space_dim)
-        self.basis = basis
+        arr = np.array(basis, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != 2 * self.space_dim:
+            raise DimensionMismatch(
+                f"a graph basis on a {self.space_dim}-dimensional space needs "
+                f"{2 * self.space_dim} rows, got shape {arr.shape}"
+            )
+        arr.flags.writeable = False
+        self._basis = arr
+        self._svd = None
 
     # -- constructors -------------------------------------------------
 
@@ -132,6 +142,10 @@ class LinearRelation:
     # -- components ----------------------------------------------------
 
     @property
+    def basis(self) -> np.ndarray:
+        return self._basis
+
+    @property
     def graph_dim(self) -> int:
         return self.basis.shape[1]
 
@@ -143,22 +157,30 @@ class LinearRelation:
     def second(self) -> np.ndarray:
         return self.basis[self.space_dim:, :]
 
-    def dom_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        return orthonormal_columns(self.first, tol)
+    def _graph_split(self, tol: ToleranceProfile | None):
+        """``(U, s, V, r)`` of the one full SVD ``first = U diag(s) V^T``.
 
-    def ran_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        return orthonormal_columns(self.second, tol)
+        ``r`` counts the singular values above ``zero * max(shape) * max(s_0, 1)``
+        (a graph basis is orthonormal, so its scale is 1 whatever the
+        relation's).  ``U[:, :r]`` spans the domain, ``U[:, r:]`` its
+        complement and ``V[:, r:]`` the multivalued part's graph coordinates.
+        """
+        tol = resolve(tol)
+        if self._svd is None:
+            u, s, vt = np.linalg.svd(self.first, full_matrices=True)
+            self._svd = (u, s, vt.T)
+        u, s, v = self._svd
+        thr = tol.zero * max(self.first.shape) * np.max(s, initial=1.0)
+        return u, s, v, int(np.count_nonzero(s > thr))
 
     def mul_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        null = nullspace_basis(self.first, tol)
-        return orthonormal_columns(self.second @ null, tol)
-
-    def ker_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        null = nullspace_basis(self.second, tol)
-        return orthonormal_columns(self.first @ null, tol)
+        # the basis is orthonormal, so the second components of the
+        # kernel directions of ``first`` are orthonormal already
+        _, _, v, r = self._graph_split(tol)
+        return self.second @ v[:, r:]
 
     def mul_dim(self, tol: ToleranceProfile | None = None) -> int:
-        return self.mul_basis(tol).shape[1]
+        return self.graph_dim - self._graph_split(tol)[3]
 
     # -- calculus -------------------------------------------------------
 
@@ -231,23 +253,21 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
 
 
 def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
-    """Domain basis and the matrix of the operator part in that basis.
+    """Domain basis and the operator's images of it, off the graph SVD.
 
-    For a selfadjoint relation the space splits orthogonally into domain
-    and multivalued part; the operator part acts on the domain.  Returns
-    ``(U, M)`` with ``U`` of shape ``(n, d)`` and ``M`` symmetric ``(d, d)``.
+    Returns ``(U, W)``, both ``(n, d)``: ``U`` is an orthonormal basis of
+    the domain and each ``(U e_i, W e_i)`` lies in the graph, with
+    ``W = F' V_d S_d^{-1}`` from ``F = U S V^T``.  For an operator graph
+    ``W U^T`` is the matrix vanishing off the domain; for a selfadjoint
+    relation ``U^T W`` is the operator part, which acts on the domain.
     """
     tol = resolve(tol)
-    u = rel.dom_basis(tol)
-    d = u.shape[1]
-    if d == 0:
-        return u, np.zeros((0, 0))
-    coeff, *_ = np.linalg.lstsq(rel.first, u, rcond=None)
-    images = rel.second @ coeff
-    residual = norm2(rel.first @ coeff - u)
+    u, s, v, d = rel._graph_split(tol)
+    coeff = v[:, :d] / s[:d]
+    residual = norm2(rel.first @ coeff - u[:, :d])
     if residual > tol.residual * (1.0 + float(d)):
         raise ConsistencyError(f"domain basis failed to resolve in the graph: {residual:.3e}")
-    return u, symmetrize(u.T @ images)
+    return u[:, :d], rel.second @ coeff
 
 
 def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -> RelationInertia:
@@ -256,29 +276,11 @@ def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -
     cls = classify(rel, tol)
     if not cls.selfadjoint:
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
-    u, m = operator_part(rel, tol)
-    spec = spectral_decompose(m, tol)
+    u, images = operator_part(rel, tol)
+    spec = spectral_decompose(symmetrize(u.T @ images), tol)
     counts = spec.with_floor(1.0 + spec.norm).inertia
     i_inf = rel.space_dim - u.shape[1]
     return RelationInertia(counts.n_plus, counts.n_minus, counts.n_zero, i_inf)
-
-
-def as_bounded_operator(rel: LinearRelation, tol: ToleranceProfile | None = None):
-    """Matrix representation when the relation is an operator graph.
-
-    Returns ``(domain basis, matrix)`` where the matrix is the full-space
-    representation vanishing on the orthogonal complement of the domain, or
-    ``None`` when the relation has a multivalued part.
-    """
-    tol = resolve(tol)
-    if rel.mul_dim(tol) > 0:
-        return None
-    u = rel.dom_basis(tol)
-    if u.shape[1] == 0:
-        return u, np.zeros((rel.space_dim, rel.space_dim))
-    coeff, *_ = np.linalg.lstsq(rel.first, u, rcond=None)
-    images = rel.second @ coeff
-    return u, images @ u.T
 
 
 def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -289,10 +291,11 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
     required by the resolvent ordering.
     """
     tol = resolve(tol)
-    u, m = operator_part(rel, tol)
+    u, images = operator_part(rel, tol)
     d = u.shape[1]
     if d == 0:
         return np.zeros((rel.space_dim, rel.space_dim))
+    m = symmetrize(u.T @ images)
     w = np.linalg.eigvalsh(m)
     if w[0] - a <= tol.zero * (1.0 + float(np.max(np.abs(w)))):
         raise ShiftNotAdmissible(
@@ -303,10 +306,10 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
 
 
 def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
-    _, m = operator_part(rel, tol)
-    if m.size == 0:
+    u, images = operator_part(rel, tol)
+    if u.shape[1] == 0:
         return np.inf
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(np.linalg.eigvalsh(symmetrize(u.T @ images))[0])
 
 
 def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormData:
@@ -320,9 +323,13 @@ def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormDat
     ``|g|^2 - |h|^2``, and the coupling norms match) is verified.
     """
     tol = resolve(tol)
-    cls = classify(rel, tol)
-    if not cls.symmetric:
+    if not classify(rel, tol).symmetric:
         raise NotSymmetric("the projected boundary form needs a symmetric relation")
+    return _projected_form(rel, tol)
+
+
+def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
+    """:func:`form_a1` on a relation already known to be symmetric."""
     f = rel.first
     fp = rel.second
     sums = f + fp
@@ -350,6 +357,24 @@ def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormDat
     return FormData(gram=gram, negatives=negatives)
 
 
+def _minimal_index(rel: LinearRelation, tol: ToleranceProfile) -> int:
+    """Negative count of a symmetric relation with a minimal-index extension.
+
+    Solvability requires the negative count of the projected form to equal
+    that of the full form; the relation is classified once for both.
+    """
+    cls = classify(rel, tol)
+    if not cls.symmetric:
+        raise NotSymmetric("extensions are built for symmetric relations")
+    kappa = _projected_form(rel, tol).negatives
+    if kappa != cls.form_negativity:
+        raise NotSolvable(
+            f"projected form has {kappa} negative squares but the relation has "
+            f"{cls.form_negativity}; no extension attains the minimal index"
+        )
+    return kappa
+
+
 def _cayley_column(rel: LinearRelation, tol: ToleranceProfile):
     """Cayley transform of a symmetric relation split into column blocks.
 
@@ -362,9 +387,9 @@ def _cayley_column(rel: LinearRelation, tol: ToleranceProfile):
             "the Cayley transform is multivalued; the relation admits no "
             "minimal-index selfadjoint extension"
         )
-    u1, op = as_bounded_operator(t1, tol)
-    u2 = complement_basis(u1, rel.space_dim)
-    images = op @ u1
+    u1, images = operator_part(t1, tol)
+    u, _, _, d = t1._graph_split(tol)
+    u2 = u[:, d:]
     t11 = symmetrize(u1.T @ images)
     t21 = u2.T @ images
     return u1, u2, t11, t21
@@ -380,16 +405,7 @@ def friedrichs_krein(rel: LinearRelation, tol: ToleranceProfile | None = None):
     count.
     """
     tol = resolve(tol)
-    cls = classify(rel, tol)
-    if not cls.symmetric:
-        raise NotSymmetric("extensions are built for symmetric relations")
-    projected = form_a1(rel, tol)
-    kappa = projected.negatives
-    if kappa != cls.form_negativity:
-        raise NotSolvable(
-            f"projected form has {kappa} negative squares but the relation has "
-            f"{cls.form_negativity}; no extension attains the minimal index"
-        )
+    kappa = _minimal_index(rel, tol)
     u1, u2, t11, t21 = _cayley_column(rel, tol)
     pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
     basis = np.hstack([u1, u2])
@@ -450,10 +466,9 @@ def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: Toleranc
     transform = candidate.cayley(tol)
     if transform.mul_dim(tol) > 0:
         return False
-    bounded = as_bounded_operator(transform, tol)
-    if bounded is None or bounded[0].shape[1] < rel.space_dim:
-        return False
-    t = symmetrize(bounded[1])
+    # the graph is n-dimensional, so this is an operator on the whole space
+    u, images = operator_part(transform, tol)
+    t = symmetrize(images @ u.T)
     return loewner_leq(t_min_std, t, tol) and loewner_leq(t, t_max_std, tol)
 
 
@@ -546,21 +561,16 @@ def krein_uniqueness_relation(rel: LinearRelation, tol: ToleranceProfile | None 
     through the resolvent) are verified on deterministic random probes.
     """
     tol = resolve(tol)
-    cls = classify(rel, tol)
-    if not cls.symmetric:
-        raise NotSymmetric("uniqueness is asked for symmetric relations")
-    projected = form_a1(rel, tol)
-    if projected.negatives != cls.form_negativity:
-        raise NotSolvable("the relation admits no minimal-index extension")
+    _minimal_index(rel, tol)
     u1, u2, t11, t21 = _cayley_column(rel, tol)
     pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
     gap = uniqueness_gap(pair, tol)
     unique = norm2(gap) <= tol.residual * (1.0 + norm2(pair.t_min) + norm2(pair.t_max))
-    _assert_translation_identities(rel, u1, u2, tol)
+    _assert_translation_identities(rel, u1, u2, t11, t21, tol)
     return unique
 
 
-def _assert_translation_identities(rel, u1, u2, tol: ToleranceProfile) -> None:
+def _assert_translation_identities(rel, u1, u2, t11, t21, tol: ToleranceProfile) -> None:
     """Verify the identities linking the relation to its Cayley transform.
 
     On probes ``g`` in ``ran(I + A)`` and ``phi`` in its complement:
@@ -573,15 +583,14 @@ def _assert_translation_identities(rel, u1, u2, tol: ToleranceProfile) -> None:
     d = u1.shape[1]
     if d == 0:
         return
-    bounded_t1 = as_bounded_operator(rel.cayley(tol), tol)
-    if bounded_t1 is None:
-        raise ConsistencyError("the Cayley transform is multivalued on a solvable relation")
-    t1 = bounded_t1[1]
+    # the Cayley transform as an operator on ran(I + A), off its blocks
+    t1 = np.hstack([u1, u2]) @ np.vstack([t11, t21]) @ u1.T
     # (I + A)^{-1} as an operator on ran(I + A)
-    bounded_res = as_bounded_operator(rel.shift(1.0, tol).inverse(), tol)
-    if bounded_res is None:
+    resolvent = rel.shift(1.0, tol).inverse()
+    if resolvent.mul_dim(tol) > 0:
         raise ConsistencyError("(I + A) is not injective although the problem is solvable")
-    res = bounded_res[1]
+    u_res, images_res = operator_part(resolvent, tol)
+    res = images_res @ u_res.T
     # operator part of A composed with the resolvent, column by column
     coeff, *_ = np.linalg.lstsq(rel.first + rel.second, u1, rcond=None)
     first_parts = rel.first @ coeff

@@ -52,7 +52,6 @@ __all__ = [
     "loewner_leq",
     "orthonormal_columns",
     "complement_basis",
-    "nullspace_basis",
     "rank_of",
     "projector",
     "subspace_distance",
@@ -322,9 +321,10 @@ def orthonormal_columns(m, tol: ToleranceProfile | None = None, floor: float = 0
     """Orthonormal basis of the column span, via SVD with relative cutoff."""
     tol = resolve(tol)
     arr = as_matrix(m)
-    if arr.shape[1] == 0 or norm2(arr) == 0.0:
+    if arr.size == 0:
         return np.zeros((arr.shape[0], 0))
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    # a zero matrix has s[0] == 0 and keeps no column
     thr = tol.zero * max(arr.shape) * max(s[0], floor)
     return u[:, s > thr]
 
@@ -339,25 +339,10 @@ def complement_basis(q, n: int | None = None) -> np.ndarray:
     return u[:, arr.shape[1]:]
 
 
-def nullspace_basis(m, tol: ToleranceProfile | None = None) -> np.ndarray:
-    """Orthonormal basis of the kernel of a general matrix."""
-    tol = resolve(tol)
-    arr = as_matrix(m)
-    cols = arr.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0))
-    if arr.shape[0] == 0 or norm2(arr) == 0.0:
-        return np.eye(cols)
-    _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    thr = tol.zero * max(arr.shape) * s[0]
-    rank = int(np.count_nonzero(s > thr))
-    return vt.T[:, rank:]
-
-
 def rank_of(m, tol: ToleranceProfile | None = None) -> int:
     tol = resolve(tol)
     arr = as_matrix(m)
-    if arr.size == 0 or norm2(arr) == 0.0:
+    if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
     thr = tol.zero * max(arr.shape) * s[0]

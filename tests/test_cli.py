@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinkit
 from kreinkit import gens
 from kreinkit.cli import main
 from kreinkit.errors import InvalidInput
@@ -28,6 +33,14 @@ def matrix_file(tmp_path, name, data):
         "rows": arr.shape[0], "cols": arr.shape[1],
         "data": [[float(x) for x in row] for row in arr],
     })
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(kreinkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kreinkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_matrix_roundtrip():

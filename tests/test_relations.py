@@ -3,6 +3,7 @@ import pytest
 
 from kreinkit import gens
 from kreinkit.errors import (
+    DimensionMismatch,
     NotAnExtension,
     NotSelfadjoint,
     NotSolvable,
@@ -12,13 +13,13 @@ from kreinkit.errors import (
 from kreinkit.relations import (
     LinearRelation,
     antitonicity_check,
-    as_bounded_operator,
     classify,
     ext_membership,
     form_a1,
     friedrichs_krein,
     inverse_duality_check,
     krein_uniqueness_relation,
+    operator_part,
     relation_inertia,
     relation_leq,
     resolvent_interval_check,
@@ -48,6 +49,40 @@ def test_constructors():
     )
     assert duplicated.same_as(PARTIAL_IDENTITY)
     assert duplicated.graph_dim == 1
+
+
+def test_constructor_validates_and_freezes_the_basis():
+    with pytest.raises(DimensionMismatch):
+        LinearRelation(3, np.eye(5)[:, :2])
+    with pytest.raises(DimensionMismatch):
+        LinearRelation(2, np.zeros(4))
+    raw = np.eye(4)[:, :2]
+    rel = LinearRelation(2, raw)
+    raw[0, 0] = 5.0
+    assert rel.basis[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        rel.basis[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        rel.basis = np.eye(4)
+
+
+# At c = 1e-8 the scaled multivalued direction has size 1e-8 next to unit
+# directions, below what the SVD of the generators resolves
+@pytest.mark.parametrize("c", [
+    pytest.param(1e-8, marks=pytest.mark.xfail(
+        strict=True, reason="the generators' SVD cannot resolve a 1e-8 direction next to unit ones",
+    )),
+    1e-4, 1.0, 1e4, 1e8,
+])
+def test_multivalued_part_across_scales(c):
+    rng = np.random.default_rng(53)
+    wrong = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        rel = gens.random_selfadjoint_relation(rng, n, mul_dim=int(rng.integers(0, 2)))
+        scaled = LinearRelation.from_generators(rel.first, c * rel.second)
+        wrong += scaled.mul_dim() != rel.mul_dim()
+    assert wrong == 0
 
 
 def test_adjoint_inverse_shift():
@@ -108,18 +143,21 @@ def test_cayley_involution_property():
         assert subspace_distance(lhs.basis, rhs.basis) <= 1e-9
 
 
-def test_as_bounded_operator():
+def test_operator_part_of_operator_graphs():
     rng = np.random.default_rng(52)
     m = rng.standard_normal((3, 3))
-    basis, op = as_bounded_operator(graph(m))
+    basis, images = operator_part(graph(m))
     assert basis.shape == (3, 3)
-    assert np.allclose(op, m)
+    assert np.allclose(images @ basis.T, m)
+    # a purely multivalued relation is no operator graph: empty domain
     pure_mul = LinearRelation.from_generators(np.zeros((2, 2)), np.eye(2))
-    assert as_bounded_operator(pure_mul) is None
+    assert pure_mul.mul_dim() == 2
+    assert operator_part(pure_mul)[0].shape == (2, 0)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        rel = gens.random_solvable_relation(rng, n)
-        assert as_bounded_operator(rel.cayley()) is not None
+        transform = gens.random_solvable_relation(rng, n).cayley()
+        assert transform.mul_dim() == 0
+        assert operator_part(transform)[0].shape == (n, transform.graph_dim)
 
 
 def test_form_a1_selfadjoint_case():
