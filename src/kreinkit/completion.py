@@ -8,11 +8,18 @@ case ``S = |A11|^{[-1/2]} A12`` is well defined, ``S^T J S`` (with
 is the semibounded interval ``{S^T J S + Y : Y >= 0}``.  The negative index
 of any corner choice splits additively through the generalized Schur
 complement.
+
+A block is immutable (it keeps read-only copies of ``a11`` and ``a12``), so
+its minimal completion and the factor it is read off are computed once per
+block and tolerance profile and kept on the block for as long as it lives.
+Each is exactly what a fresh computation returns, with read-only arrays;
+:func:`is_solution` and :func:`schur_inertia` then pay only for the
+candidate corner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +35,7 @@ from .spectral import (
     spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, resolve
+from .tolerances import ToleranceProfile, per_profile, resolve
 
 __all__ = [
     "IncompleteBlock",
@@ -44,14 +51,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncompleteBlock:
-    """Upper-left corner ``a11`` and coupling ``a12``; ``a21`` is ``a12^T``."""
+    """Upper-left corner ``a11`` and coupling ``a12``; ``a21`` is ``a12^T``.
+
+    Both are held as read-only copies, so a caller's later writes reach
+    neither the block nor what is computed from it.
+    """
 
     a11: np.ndarray
     a12: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a11", as_symmetric(self.a11))
-        object.__setattr__(self, "a12", as_matrix(self.a12))
+        for name, arr in (("a11", as_symmetric(self.a11)), ("a12", as_matrix(self.a12))):
+            arr = np.array(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.a12.shape[0] != self.a11.shape[0]:
             raise DimensionMismatch(
                 f"a12 has {self.a12.shape[0]} rows but a11 has dim {self.a11.shape[0]}"
@@ -80,6 +94,7 @@ class CompletionSolution:
     spectrum: SpectralDecomposition
 
 
+@per_profile
 def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
     """Spectrum of ``a11``, ``S = |a11|^{[-1/2]} a12``, the inclusion residual and verdict.
 
@@ -99,16 +114,16 @@ def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
 
 def completable(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> bool:
     """Range-inclusion criterion: ``ran a12`` inside ``ran |a11|^{1/2}``."""
-    return _factor(blk, resolve(tol))[3]
+    return _factor(blk, tol)[3]
 
 
+@per_profile
 def minimal_completion(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> CompletionSolution:
     """Smallest corner completing the block at the minimal negative index.
 
     Raises :class:`NotCompletable` (with the best least-squares residual
     attached) when the range inclusion fails.
     """
-    tol = resolve(tol)
     spec, s, residual, included = _factor(blk, tol)
     if not included:
         raise NotCompletable(

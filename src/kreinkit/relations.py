@@ -11,6 +11,14 @@ the boundary form with the projection onto ``ran(I + A)`` inserted, the
 Friedrichs and Krein-von Neumann extensions of a symmetric relation with
 minimal negative index, the resolvent order with its interval
 characterizations, and the antitonicity and uniqueness criteria.
+
+A relation is immutable, so what is derived from it is computed once per
+relation and tolerance profile and kept on the relation for as long as it
+lives: the graph SVD (profile-free), the classification, the operator part
+and its eigenvalues, the minimal index, the :class:`ExtensionProblem` and
+the Friedrichs/Krein pair.  Each is exactly what a fresh computation
+returns, and its arrays are read-only.  A query against a relation that
+was queried before pays only for its other arguments.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     ShiftNotAdmissible,
 )
-from .quasicontraction import SymmetricColumn, extremal_extensions, uniqueness_gap
+from .quasicontraction import ExtremalPair, SymmetricColumn, extremal_extensions, uniqueness_gap
 from .spectral import (
     as_matrix,
     as_symmetric,
@@ -45,18 +53,20 @@ from .spectral import (
     subspace_distance,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, resolve
+from .tolerances import ToleranceProfile, memoized, per_profile, resolve
 
 __all__ = [
     "LinearRelation",
     "RelationInertia",
     "RelationClass",
     "FormData",
+    "ExtensionProblem",
     "classify",
     "relation_inertia",
     "operator_part",
     "resolvent_matrix",
     "form_a1",
+    "extension_problem",
     "friedrichs_krein",
     "relation_leq",
     "ext_membership",
@@ -95,6 +105,27 @@ class FormData:
     negatives: int
 
 
+@dataclass(frozen=True)
+class ExtensionProblem:
+    """The Cayley side of a symmetric relation's extension problem.
+
+    ``u1`` and ``u2`` are orthonormal bases of ``ran(I + A)`` and its
+    complement, ``t11`` and ``t21`` the blocks of the Cayley transform along
+    that splitting, and ``pair`` the extreme extensions of that column.
+    ``t_min`` and ``t_max`` are the same extremes in the standard basis: a
+    selfadjoint extension at the minimal index is one whose Cayley
+    transform ``T`` satisfies ``t_min <= T <= t_max``.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    t11: np.ndarray
+    t21: np.ndarray
+    pair: ExtremalPair
+    t_min: np.ndarray
+    t_max: np.ndarray
+
+
 class LinearRelation:
     """A subspace of the doubled space, canonicalized to an orthonormal basis.
 
@@ -102,8 +133,8 @@ class LinearRelation:
     first and second components of the spanning graph elements.  Generator
     representations are wildly non-unique, so everything relation-valued is
     reduced to this canonical form immediately and compared by projectors.
-    The basis is read-only, so the graph decomposition computed from it on
-    first use stays valid for the relation's lifetime.
+    The basis is read-only, so what is computed from it and kept in
+    ``_memo`` stays valid for the relation's lifetime.
     """
 
     def __init__(self, space_dim: int, basis: np.ndarray):
@@ -116,7 +147,7 @@ class LinearRelation:
             )
         arr.flags.writeable = False
         self._basis = arr
-        self._svd = None
+        self._memo = {}
 
     # -- constructors -------------------------------------------------
 
@@ -166,12 +197,13 @@ class LinearRelation:
         complement and ``V[:, r:]`` the multivalued part's graph coordinates.
         """
         tol = resolve(tol)
-        if self._svd is None:
-            u, s, vt = np.linalg.svd(self.first, full_matrices=True)
-            self._svd = (u, s, vt.T)
-        u, s, v = self._svd
+        u, s, v = memoized(self, ("graph_svd", None), self._graph_svd)
         thr = tol.zero * max(self.first.shape) * np.max(s, initial=1.0)
         return u, s, v, int(np.count_nonzero(s > thr))
+
+    def _graph_svd(self):
+        u, s, vt = np.linalg.svd(self.first, full_matrices=True)
+        return u, s, vt.T
 
     def mul_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
         # the basis is orthonormal, so the second components of the
@@ -228,6 +260,7 @@ class LinearRelation:
         return leak <= tol.subspace
 
 
+@per_profile
 def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> RelationClass:
     """Symmetric/selfadjoint classification and the form's negative count.
 
@@ -236,7 +269,6 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
     adds the dimension count.  The negative-squares count is the negative
     index of the symmetrized Gram.
     """
-    tol = resolve(tol)
     gram_raw = rel.first.T @ rel.second
     scale = 1.0 + norm2(gram_raw)
     symmetric = norm2(gram_raw - gram_raw.T) <= tol.residual * scale
@@ -252,6 +284,7 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
     )
 
 
+@per_profile
 def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
     """Domain basis and the operator's images of it, off the graph SVD.
 
@@ -261,7 +294,6 @@ def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
     ``W U^T`` is the matrix vanishing off the domain; for a selfadjoint
     relation ``U^T W`` is the operator part, which acts on the domain.
     """
-    tol = resolve(tol)
     u, s, v, d = rel._graph_split(tol)
     coeff = v[:, :d] / s[:d]
     residual = norm2(rel.first @ coeff - u[:, :d])
@@ -291,12 +323,11 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
     required by the resolvent ordering.
     """
     tol = resolve(tol)
-    u, images = operator_part(rel, tol)
+    u, _ = operator_part(rel, tol)
+    m, w = _operator_spectrum(rel, tol)
     d = u.shape[1]
     if d == 0:
         return np.zeros((rel.space_dim, rel.space_dim))
-    m = symmetrize(u.T @ images)
-    w = np.linalg.eigvalsh(m)
     if w[0] - a <= tol.zero * (1.0 + float(np.max(np.abs(w)))):
         raise ShiftNotAdmissible(
             f"shift {a} does not stay below the operator-part minimum {w[0]:.6g}"
@@ -305,11 +336,17 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
     return symmetrize(u @ inv @ u.T)
 
 
-def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
+@per_profile
+def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
+    """The operator part ``U^T W`` on the domain and its ascending eigenvalues."""
     u, images = operator_part(rel, tol)
-    if u.shape[1] == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(symmetrize(u.T @ images))[0])
+    m = symmetrize(u.T @ images)
+    return m, (np.linalg.eigvalsh(m) if m.size else np.zeros(0))
+
+
+def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
+    w = _operator_spectrum(rel, tol)[1]
+    return float(w[0]) if w.size else np.inf
 
 
 def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormData:
@@ -357,6 +394,7 @@ def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
     return FormData(gram=gram, negatives=negatives)
 
 
+@per_profile
 def _minimal_index(rel: LinearRelation, tol: ToleranceProfile) -> int:
     """Negative count of a symmetric relation with a minimal-index extension.
 
@@ -395,6 +433,23 @@ def _cayley_column(rel: LinearRelation, tol: ToleranceProfile):
     return u1, u2, t11, t21
 
 
+@per_profile
+def extension_problem(rel: LinearRelation, tol: ToleranceProfile | None = None) -> ExtensionProblem:
+    """The relation's Cayley column, its extreme extensions, and both in the standard basis.
+
+    Raises :class:`NotSolvable` when the Cayley transform is multivalued or
+    the column fails the index criterion.  Symmetry and the minimal index
+    are not checked here; :func:`friedrichs_krein` checks them first.
+    """
+    u1, u2, t11, t21 = _cayley_column(rel, tol)
+    pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
+    basis = np.hstack([u1, u2])
+    t_min = symmetrize(basis @ pair.t_min @ basis.T)
+    t_max = symmetrize(basis @ pair.t_max @ basis.T)
+    return ExtensionProblem(u1, u2, t11, t21, pair, t_min, t_max)
+
+
+@per_profile
 def friedrichs_krein(rel: LinearRelation, tol: ToleranceProfile | None = None):
     """Friedrichs and Krein-von Neumann extensions of a symmetric relation.
 
@@ -402,17 +457,13 @@ def friedrichs_krein(rel: LinearRelation, tol: ToleranceProfile | None = None):
     that of the full form.  The extensions are the inverse Cayley images of
     the extreme quasi-contractive extensions of the transformed column; both
     are verified to be selfadjoint extensions with the minimal negative
-    count.
+    count.  The verified pair is kept on the relation beside its
+    :func:`extension_problem`.
     """
-    tol = resolve(tol)
     kappa = _minimal_index(rel, tol)
-    u1, u2, t11, t21 = _cayley_column(rel, tol)
-    pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
-    basis = np.hstack([u1, u2])
-    t_min_std = symmetrize(basis @ pair.t_min @ basis.T)
-    t_max_std = symmetrize(basis @ pair.t_max @ basis.T)
-    a_f = LinearRelation.from_operator(t_min_std, tol).cayley(tol)
-    a_k = LinearRelation.from_operator(t_max_std, tol).cayley(tol)
+    problem = extension_problem(rel, tol)
+    a_f = LinearRelation.from_operator(problem.t_min, tol).cayley(tol)
+    a_k = LinearRelation.from_operator(problem.t_max, tol).cayley(tol)
     for name, ext in (("Friedrichs extension", a_f), ("Krein-von Neumann extension", a_k)):
         if not ext.contains(rel, tol):
             raise ConsistencyError(f"{name} does not extend the relation")
@@ -458,18 +509,14 @@ def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: Toleranc
         raise NotAnExtension("the candidate is not selfadjoint")
     if not candidate.contains(rel, tol):
         raise NotAnExtension("the candidate does not extend the relation")
-    u1, u2, t11, t21 = _cayley_column(rel, tol)
-    pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
-    basis = np.hstack([u1, u2])
-    t_min_std = symmetrize(basis @ pair.t_min @ basis.T)
-    t_max_std = symmetrize(basis @ pair.t_max @ basis.T)
+    problem = extension_problem(rel, tol)
     transform = candidate.cayley(tol)
     if transform.mul_dim(tol) > 0:
         return False
     # the graph is n-dimensional, so this is an operator on the whole space
     u, images = operator_part(transform, tol)
     t = symmetrize(images @ u.T)
-    return loewner_leq(t_min_std, t, tol) and loewner_leq(t, t_max_std, tol)
+    return loewner_leq(problem.t_min, t, tol) and loewner_leq(t, problem.t_max, tol)
 
 
 def resolvent_interval_check(
@@ -562,15 +609,15 @@ def krein_uniqueness_relation(rel: LinearRelation, tol: ToleranceProfile | None 
     """
     tol = resolve(tol)
     _minimal_index(rel, tol)
-    u1, u2, t11, t21 = _cayley_column(rel, tol)
-    pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
+    problem = extension_problem(rel, tol)
+    pair = problem.pair
     gap = uniqueness_gap(pair, tol)
     unique = norm2(gap) <= tol.residual * (1.0 + norm2(pair.t_min) + norm2(pair.t_max))
-    _assert_translation_identities(rel, u1, u2, t11, t21, tol)
+    _assert_translation_identities(rel, problem, tol)
     return unique
 
 
-def _assert_translation_identities(rel, u1, u2, t11, t21, tol: ToleranceProfile) -> None:
+def _assert_translation_identities(rel, problem: ExtensionProblem, tol: ToleranceProfile) -> None:
     """Verify the identities linking the relation to its Cayley transform.
 
     On probes ``g`` in ``ran(I + A)`` and ``phi`` in its complement:
@@ -579,12 +626,13 @@ def _assert_translation_identities(rel, u1, u2, t11, t21, tol: ToleranceProfile)
     back through the resolvent.  The compressed symmetric operator built
     from these maps is also checked for symmetry.
     """
+    u1, u2 = problem.u1, problem.u2
     n = rel.space_dim
     d = u1.shape[1]
     if d == 0:
         return
     # the Cayley transform as an operator on ran(I + A), off its blocks
-    t1 = np.hstack([u1, u2]) @ np.vstack([t11, t21]) @ u1.T
+    t1 = np.hstack([u1, u2]) @ np.vstack([problem.t11, problem.t21]) @ u1.T
     # (I + A)^{-1} as an operator on ran(I + A)
     resolvent = rel.shift(1.0, tol).inverse()
     if resolvent.mul_dim(tol) > 0:

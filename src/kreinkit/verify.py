@@ -46,6 +46,7 @@ from .relations import (
     antitonicity_check,
     classify,
     ext_membership,
+    extension_problem,
     form_a1,
     friedrichs_krein,
     inverse_duality_check,
@@ -573,12 +574,11 @@ def _member_triple(rel, a_f, a_k, kappa, candidate, tol):
 
 def _sweep_members(rng, rel, tol, count=2):
     """Relations inside the extension interval, built from the transform side."""
-    from .relations import _cayley_column  # shared pipeline splitting
-
-    u1, u2, t11, t21 = _cayley_column(rel, tol)
-    pair = extremal_extensions(SymmetricColumn(t11, t21), tol)
-    basis = np.hstack([u1, u2])
-    gap_corner = symmetrize((pair.t_max - pair.t_min)[t11.shape[0]:, t11.shape[0]:])
+    problem = extension_problem(rel, tol)
+    pair = problem.pair
+    n1 = problem.t11.shape[0]
+    basis = np.hstack([problem.u1, problem.u2])
+    gap_corner = symmetrize((pair.t_max - pair.t_min)[n1:, n1:])
     n2 = gap_corner.shape[0]
     half = modulus_power(gap_corner, 0.5, tol)
     members = []
@@ -588,13 +588,13 @@ def _sweep_members(rng, rel, tol, count=2):
         if top > 1.0:
             c = c / (top * rng.uniform(1.0, 2.0))
         bump = np.zeros_like(pair.t_min)
-        bump[t11.shape[0]:, t11.shape[0]:] = half @ c @ half
+        bump[n1:, n1:] = half @ c @ half
         t = symmetrize(pair.t_min + bump)
         members.append(LinearRelation.from_operator(symmetrize(basis @ t @ basis.T), tol).cayley(tol))
     outside = None
     if n2 > 0:
         bump = np.zeros_like(pair.t_min)
-        bump[t11.shape[0]:, t11.shape[0]:] = 0.4 * np.eye(n2)
+        bump[n1:, n1:] = 0.4 * np.eye(n2)
         t_bad = symmetrize(pair.t_max + bump)
         outside = LinearRelation.from_operator(symmetrize(basis @ t_bad @ basis.T), tol).cayley(tol)
     return members, outside
@@ -669,10 +669,7 @@ def _relations_uniqueness(rng, tol, track):
     relation_verdict = krein_uniqueness_relation(rel, tol)
     a_f, a_k = friedrichs_krein(rel, tol)
     track.expect(relation_verdict == a_f.same_as(a_k, tol))
-    from .relations import _cayley_column
-
-    _, _, t11, t21 = _cayley_column(rel, tol)
-    column_verdict = krein_uniqueness_criterion(SymmetricColumn(t11, t21), tol)
+    column_verdict = extension_problem(rel, tol).pair.unique(tol)
     track.expect(relation_verdict == column_verdict)
 
 

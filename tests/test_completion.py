@@ -25,6 +25,22 @@ def nu_minus(matrix, threshold=1e-9):
     return int(np.sum(w < -threshold * scale))
 
 
+def test_block_keeps_read_only_copies():
+    a11 = np.diag([1.0, -1.0])
+    a12 = np.array([[1.0], [1.0]])
+    blk = IncompleteBlock(a11, a12)
+    a22_min = minimal_completion(blk).a22_min.copy()
+    assert not np.shares_memory(blk.a11, a11) and not np.shares_memory(blk.a12, a12)
+    a11[0, 0] = 5.0
+    a12[:] = 0.0
+    assert np.array_equal(blk.a11, np.diag([1.0, -1.0]))
+    assert np.array_equal(blk.a12, [[1.0], [1.0]])
+    assert np.array_equal(minimal_completion(blk).a22_min, a22_min)
+    for arr in (blk.a11, blk.a12, minimal_completion(blk).a22_min):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
+
+
 def test_completable_examples():
     assert completable(E1)
     assert not completable(IncompleteBlock(np.diag([1.0, 0.0]), np.array([[0.0], [1.0]])))

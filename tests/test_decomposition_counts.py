@@ -5,32 +5,52 @@ calls one call of each operation makes on a fixed small instance.  Every
 spectral quantity of a matrix (inertia, signature, powers, pseudo-inverse
 powers, projectors) is read off one eigendecomposition, and a relation's
 domain, multivalued part and operator part off one SVD of its graph, so a
-rise here means something is decomposed again.
+rise here means something is decomposed again.  What a block or relation
+has computed once is kept on it, so a query against an instance queried
+before pays only for its candidate; the fresh-instance counts build every
+instance anew.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kreinkit import jsonio
 from kreinkit.cli import main
-from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion
+from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion, schur_inertia
 from kreinkit.factor import JSpace
 from kreinkit.lifting import defect_data
 from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions
-from kreinkit.relations import LinearRelation, ext_membership, friedrichs_krein
+from kreinkit.relations import LinearRelation, ext_membership, friedrichs_krein, relation_leq
 
-BLOCK = IncompleteBlock(np.diag([2.0, -1.0, 0.5]), np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]]))
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
+
+
+def block():
+    """Built fresh for each count, so no memoized completion carries over."""
+    return IncompleteBlock(np.diag([2.0, -1.0, 0.5]), np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]]))
 
 
 def relation():
     """x' = x on the first coordinate, nothing on the second: a symmetric
     restriction whose two extreme extensions differ.  Built fresh for each
-    count, so no cached graph decomposition carries over between tests."""
+    count, so nothing memoized carries over between counts."""
     return LinearRelation.from_generators(np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]))
+
+
+class StoreCounter(dict):
+    """A relation's memo that counts the values stored under each quantity."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key[0]] += 1
+        super().__setitem__(key, value)
 
 
 def _counting(monkeypatch, name):
@@ -62,9 +82,14 @@ def _count(calls, fn, *args):
 
 
 def test_completion_decomposes_a11_once(eigh_calls):
-    assert _count(eigh_calls, minimal_completion, BLOCK) == 1
-    sol = minimal_completion(BLOCK)
-    assert _count(eigh_calls, is_solution, BLOCK, sol.a22_min + np.eye(2)) == 1
+    assert _count(eigh_calls, minimal_completion, block()) == 1
+    corner = minimal_completion(block()).a22_min + np.eye(2)
+    assert _count(eigh_calls, is_solution, block(), corner) == 1
+    # a block completed before pays only for the candidate corner
+    blk = block()
+    minimal_completion(blk)
+    assert _count(eigh_calls, is_solution, blk, corner) == 0
+    assert _count(eigh_calls, schur_inertia, blk, corner) == 1
 
 
 def test_defect_data_decomposes_each_defect_form_once(eigh_calls):
@@ -98,3 +123,28 @@ def test_relation_pipelines_factor_each_graph_once(svd_calls):
     assert _count(svd_calls, friedrichs_krein, relation()) <= 10
     _, a_k = friedrichs_krein(relation())
     assert _count(svd_calls, ext_membership, relation(), a_k) <= 4
+
+
+def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, svd_calls):
+    rel = relation()
+    _, a_k = friedrichs_krein(rel)
+    candidate = LinearRelation(a_k.space_dim, a_k.basis)
+    eigh_calls.clear()
+    svd_calls.clear()
+    assert ext_membership(rel, candidate)
+    # the candidate's classification, its Cayley transform and that graph's SVD
+    assert len(eigh_calls) <= 1
+    assert len(svd_calls) <= 2
+
+
+def test_relation_order_builds_each_operator_part_once(monkeypatch):
+    eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
+    h1 = LinearRelation.from_operator(np.diag([1.0, 2.0]))
+    h2 = LinearRelation.from_operator(np.diag([1.5, 3.0]))
+    h1._memo, h2._memo = StoreCounter(), StoreCounter()
+    # one operator-part spectrum per relation and the two Loewner tests
+    assert _count(eigvalsh_calls, relation_leq, h1, h2) == 4
+    assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
+    # asked again, only the Loewner tests of the resolvents run
+    assert _count(eigvalsh_calls, relation_leq, h1, h2) == 2
+    assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]

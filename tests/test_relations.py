@@ -66,6 +66,17 @@ def test_constructor_validates_and_freezes_the_basis():
         rel.basis = np.eye(4)
 
 
+def test_operator_part_hands_out_read_only_arrays():
+    rel = LinearRelation.from_operator(np.diag([1.0, -2.0]))
+    before = relation_inertia(rel)
+    u, images = operator_part(rel)
+    for arr in (u, images):
+        with pytest.raises(ValueError):
+            arr *= -3
+    assert relation_inertia(rel) == before
+    assert np.array_equal(operator_part(rel)[0], u)
+
+
 # At c = 1e-8 the scaled multivalued direction has size 1e-8 next to unit
 # directions, below what the SVD of the generators resolves
 @pytest.mark.parametrize("c", [
