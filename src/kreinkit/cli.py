@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,36 +67,27 @@ def _tolerances(args) -> ToleranceProfile:
     )
 
 
-def _load_any(path: str, tol: ToleranceProfile):
+def _load_any(path: str):
     doc = jsonio.load_json(path)
     if isinstance(doc, dict) and "generators" in doc:
         return "relation", jsonio.parse_relation(doc)
     return "matrix", jsonio.parse_matrix(doc)
 
 
+def _inertia_document(rel, tol) -> dict:
+    """A selfadjoint relation's inertia under the matrix report's ``n_*`` keys."""
+    counts = relation_inertia(rel, tol)
+    return {f"n_{k}": getattr(counts, f"i_{k}") for k in ("plus", "minus", "zero", "inf")}
+
+
 def _cmd_inertia(args) -> int:
     tol = _tolerances(args)
-    kind, value = _load_any(args.path, tol)
-    if kind == "matrix":
-        counts = inertia_of(as_symmetric(value, tol), tol)
-        report = {
-            "n_plus": counts.n_plus,
-            "n_minus": counts.n_minus,
-            "n_zero": counts.n_zero,
-            "n_inf": counts.n_inf,
-        }
-    else:
-        if not classify(value, tol).selfadjoint:
-            print("the relation is not selfadjoint; its inertia is undefined", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        counts = relation_inertia(value, tol)
-        report = {
-            "n_plus": counts.i_plus,
-            "n_minus": counts.i_minus,
-            "n_zero": counts.i_zero,
-            "n_inf": counts.i_inf,
-        }
-    _emit(report)
+    kind, value = _load_any(args.path)
+    if kind == "relation" and not classify(value, tol).selfadjoint:
+        print("the relation is not selfadjoint; its inertia is undefined", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    _emit(asdict(inertia_of(as_symmetric(value, tol), tol)) if kind == "matrix"
+          else _inertia_document(value, tol))
     return EXIT_OK
 
 
@@ -206,17 +198,11 @@ def _cmd_cayley(args) -> int:
 
 
 def _relation_report(rel, tol) -> dict:
-    counts = relation_inertia(rel, tol)
     mul = rel.mul_basis(tol)
     return {
         "relation": jsonio.relation_document(rel),
         "mul": [[float(x) for x in mul[:, i]] for i in range(mul.shape[1])],
-        "inertia": {
-            "n_plus": counts.i_plus,
-            "n_minus": counts.i_minus,
-            "n_zero": counts.i_zero,
-            "n_inf": counts.i_inf,
-        },
+        "inertia": _inertia_document(rel, tol),
     }
 
 
@@ -339,10 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ``KREINKIT_TOL`` override lasts for this call only."""
+    base = default_tolerances()
     env_tol = os.environ.get("KREINKIT_TOL")
     if env_tol is not None:
         try:
-            base = default_tolerances()
             set_default_tolerances(ToleranceProfile(
                 zero=float(env_tol), psd=base.psd,
                 residual=base.residual, subspace=base.subspace,
@@ -351,8 +338,8 @@ def main(argv=None) -> int:
             print(f"invalid KREINKIT_TOL value: {env_tol!r}", file=sys.stderr)
             return EXIT_INVALID_INPUT
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -363,6 +350,8 @@ def main(argv=None) -> int:
     except KreinkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    finally:
+        set_default_tolerances(base)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -384,6 +384,22 @@ def _parameter_defects(
     )
 
 
+def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol: ToleranceProfile):
+    """Targets ``(kappa1 - nu_-(J2'), kappa2 - nu_-(J1'))`` and the counter of a lifting's two indices."""
+    targets = (d.kappa1 - j2prime.negativity(tol), d.kappa2 - j1prime.negativity(tol))
+    j1_ext = _block_diag(d.j1.j, j1prime.j)
+    j2_ext = _block_diag(d.j2.j, j2prime.j)
+
+    def counts(t_ext: np.ndarray) -> tuple[int, int]:
+        floor = _defect_scale(t_ext)
+        return (
+            negativity(symmetrize(j1_ext - t_ext.T @ j2_ext @ t_ext), tol, floor=floor),
+            negativity(symmetrize(j2_ext - t_ext @ j1_ext @ t_ext.T), tol, floor=floor),
+        )
+
+    return targets, counts
+
+
 def lift(
     d: JContractionData,
     p: LiftParameters,
@@ -402,12 +418,9 @@ def lift(
     g1 = _shaped(p.gamma1, (d.dim2, j1prime.dim), "gamma1")
     g2 = _shaped(p.gamma2, (j2prime.dim, d.dim1), "gamma2")
     g = _shaped(p.gamma, (j2prime.dim, j1prime.dim), "gamma")
-    target1 = d.kappa1 - j2prime.negativity(tol)
-    target2 = d.kappa2 - j1prime.negativity(tol)
-    if target1 < 0 or target2 < 0:
-        raise HypothesisViolated(
-            f"minimal indices ({target1}, {target2}) must be nonnegative"
-        )
+    targets, counts = _extended_indices(d, j1prime, j2prime, tol)
+    if min(targets) < 0:
+        raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
     g1 = _check_parameter(g1, j1prime.j, d.jtstar, d.spec_tstar, tol, "gamma1",
                           exc=ParameterInvariantViolated)
     g2t = _check_parameter(g2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
@@ -421,15 +434,9 @@ def lift(
     top = np.hstack([d.t, d.d_tstar @ g1])
     bottom = np.hstack([g2 @ d.d_t, corner])
     t_tilde = np.vstack([top, bottom])
-    j1_ext = _block_diag(d.j1.j, j1prime.j)
-    j2_ext = _block_diag(d.j2.j, j2prime.j)
-    floor = _defect_scale(t_tilde)
-    got1 = negativity(symmetrize(j1_ext - t_tilde.T @ j2_ext @ t_tilde), tol, floor=floor)
-    got2 = negativity(symmetrize(j2_ext - t_tilde @ j1_ext @ t_tilde.T), tol, floor=floor)
-    if (got1, got2) != (target1, target2):
-        raise ConsistencyError(
-            f"lifting indices ({got1}, {got2}) differ from targets ({target1}, {target2})"
-        )
+    got = counts(t_tilde)
+    if got != targets:
+        raise ConsistencyError(f"lifting indices {got} differ from targets {targets}")
     return t_tilde
 
 
@@ -462,17 +469,10 @@ def extract_lift_parameters(
     compression = t_arr[:n2, :n1]
     if norm2(compression - d.t) > tol.residual * (1.0 + norm2(d.t)):
         raise NotALifting("the candidate does not compress to the original operator")
-    j1_ext = _block_diag(d.j1.j, j1prime.j)
-    j2_ext = _block_diag(d.j2.j, j2prime.j)
-    floor = _defect_scale(t_arr)
-    got1 = negativity(symmetrize(j1_ext - t_arr.T @ j2_ext @ t_arr), tol, floor=floor)
-    got2 = negativity(symmetrize(j2_ext - t_arr @ j1_ext @ t_arr.T), tol, floor=floor)
-    target1 = d.kappa1 - j2prime.negativity(tol)
-    target2 = d.kappa2 - j1prime.negativity(tol)
-    if (got1, got2) != (target1, target2):
-        raise IndexMismatch(
-            f"candidate indices ({got1}, {got2}) differ from minimal ({target1}, {target2})"
-        )
+    targets, counts = _extended_indices(d, j1prime, j2prime, tol)
+    got = counts(t_arr)
+    if got != targets:
+        raise IndexMismatch(f"candidate indices {got} differ from minimal {targets}")
     r = t_arr[:n2, n1:]
     c = t_arr[n2:, :n1]
     x = t_arr[n2:, n1:]

@@ -110,19 +110,21 @@ class ExtremalPair:
         return bool(norm2(defect) <= tol.residual * (1.0 + norm2(self.v) ** 2))
 
 
+# I + T, I - T and I - T^2 on the eigenvalues w of T; 1 - w^2 is formed as
+# (1 - w)(1 + w), which does not cancel near |w| = 1
+_PLUS_T, _MINUS_T, _DEFECT = (lambda w: 1.0 + w), (lambda w: 1.0 - w), (lambda w: (1.0 - w) * (1.0 + w))
+
+
 def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
     """Counts ``(nu_-(I + T), nu_-(I - T))`` for symmetric ``T``.
 
     Their sum equals ``nu_-(I - T^2)`` (spectral mapping); the integer
-    identity is asserted.
+    identity is asserted.  All three are read off one eigendecomposition of
+    ``T`` at the scale ``(1 + |T|)^2``.
     """
-    tol = resolve(tol)
-    t_sym = as_symmetric(t, tol)
-    eye = np.eye(t_sym.shape[0])
-    floor = (1.0 + norm2(t_sym)) ** 2
-    minus = negativity(symmetrize(eye + t_sym), tol, floor=floor)
-    plus = negativity(symmetrize(eye - t_sym), tol, floor=floor)
-    total = negativity(symmetrize(eye - t_sym @ t_sym), tol, floor=floor)
+    spec = spectral_decompose(t, tol)
+    floor = (1.0 + spec.norm) ** 2
+    minus, plus, total = (spec.map(f, floor).inertia.n_minus for f in (_PLUS_T, _MINUS_T, _DEFECT))
     if minus + plus != total:
         raise ConsistencyError(
             f"split counts {minus} + {plus} do not add up to nu_-(I - T^2) = {total}"
@@ -131,17 +133,16 @@ def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
 
 
 def _column_counts(col: SymmetricColumn, tol: ToleranceProfile):
-    """Spectrum of ``I - T11^2`` and the two counts of the solvability criterion.
+    """Spectrum of ``T11`` and the two counts of the solvability criterion.
 
     Returns ``(spectrum, nu_-(I - T11^2), nu_-(I - T1^T T1))``, both counts
     taken at the scale ``(1 + |T1|)^2`` of the whole column.
     """
-    eye = np.eye(col.dim1)
     t1 = col.stacked()
     floor = (1.0 + norm2(t1)) ** 2
-    head = spectral_decompose(symmetrize(eye - col.t11 @ col.t11), tol, floor=floor)
-    full = negativity(symmetrize(eye - t1.T @ t1), tol, floor=floor)
-    return head, head.inertia.n_minus, full
+    spec = spectral_decompose(col.t11, tol)
+    full = negativity(symmetrize(np.eye(col.dim1) - t1.T @ t1), tol, floor=floor)
+    return spec, spec.map(_DEFECT, floor).inertia.n_minus, full
 
 
 def solvable(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> bool:
@@ -178,20 +179,20 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
     criterion fails.  The construction is verified: the coupling range
     inclusion, the preserved negative index of both extremes, and the
     negation duality ``(-T)_min = -T_max`` (checked by direct reassembly).
-    ``I - T11^2`` is decomposed once; its blocks, its index and the
-    reassembly are read off that spectrum at the scale ``(1 + |T11|)^2``.
+    ``T11`` is decomposed once; the index of ``I - T11^2``, its blocks, the
+    counts of ``I +- T11`` and the reassembly are read off that spectrum at
+    the scale ``(1 + |T11|)^2``.
     """
     tol = resolve(tol)
-    defect, head, full = _column_counts(col, tol)
+    spec, head, full = _column_counts(col, tol)
     if head != full:
         raise NotSolvable(
             f"nu_-(I - T11^2) = {head} differs from nu_-(I - T1^T T1) = {full}",
             nu_minus_head=head,
             nu_minus_column=full,
         )
-    eye1 = np.eye(col.dim1)
-    head_floor = (1.0 + norm2(col.t11)) ** 2
-    defect = defect.with_floor(head_floor)
+    head_floor = (1.0 + spec.norm) ** 2
+    defect = spec.map(_DEFECT, head_floor)
     t_min, t_max, v, j, coupling = _extremal_blocks(col.t11, col.t21, defect)
     # coupling = D V^T = D |I - T11^2|^{[-1/2]} T21^T is the best factor of T21^T
     inclusion_residual = norm2(coupling - col.t21.T)
@@ -201,19 +202,15 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
             "although the index criterion holds"
         )
     kappa = defect.inertia.n_minus
-    kappa_minus = negativity(symmetrize(eye1 + col.t11), tol, floor=head_floor)
-    kappa_plus = negativity(symmetrize(eye1 - col.t11), tol, floor=head_floor)
-    eye = np.eye(col.dim1 + col.dim2)
+    kappa_minus, kappa_plus = (spec.map(f, head_floor).inertia.n_minus for f in (_PLUS_T, _MINUS_T))
     # the extended counts are verified through the split form: at the
     # boundary of the solution interval I - T^2 is singular and its own
     # scale collapses, while I + T and I - T stay well conditioned
     for name, ext in (("t_min", t_min), ("t_max", t_max)):
-        ext_floor = (1.0 + norm2(ext)) ** 2
-        below = negativity(symmetrize(eye + ext), tol, floor=ext_floor)
-        above = negativity(symmetrize(eye - ext), tol, floor=ext_floor)
-        if (below, above) != (kappa_minus, kappa_plus):
+        counts = split_counts(ext, tol)
+        if counts != (kappa_minus, kappa_plus):
             raise ConsistencyError(
-                f"{name} has boundary counts ({below}, {above}), "
+                f"{name} has boundary counts {counts}, "
                 f"expected ({kappa_minus}, {kappa_plus})"
             )
     neg_min, neg_max, _, _, _ = _extremal_blocks(-col.t11, -col.t21, defect)

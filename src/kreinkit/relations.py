@@ -232,6 +232,7 @@ class LinearRelation:
         stacked = np.vstack([self.first, self.second + c * self.first])
         return LinearRelation(self.space_dim, orthonormal_columns(stacked, tol))
 
+    @per_profile
     def cayley(self, tol: ToleranceProfile | None = None) -> "LinearRelation":
         """Graph transform ``(f, f') -> (f + f', f - f')`` (an involution)."""
         stacked = np.vstack([self.first + self.second, self.first - self.second])
@@ -302,9 +303,9 @@ def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
     return u[:, :d], rel.second @ coeff
 
 
+@per_profile
 def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -> RelationInertia:
     """Eigenvalue-count quadruplet of a selfadjoint relation."""
-    tol = resolve(tol)
     cls = classify(rel, tol)
     if not cls.selfadjoint:
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
@@ -371,7 +372,8 @@ def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
     fp = rel.second
     sums = f + fp
     diffs = f - fp
-    p1 = projector(orthonormal_columns(sums, tol))
+    # ran(I + A) is the domain of the Cayley transform, off its kept graph SVD
+    p1 = projector(operator_part(rel.cayley(tol), tol)[0])
     gram = symmetrize(f.T @ p1 @ fp)
     # elementwise identities against the Cayley side
     bound = tol.residual * 4.0
@@ -462,8 +464,10 @@ def friedrichs_krein(rel: LinearRelation, tol: ToleranceProfile | None = None):
     """
     kappa = _minimal_index(rel, tol)
     problem = extension_problem(rel, tol)
-    a_f = LinearRelation.from_operator(problem.t_min, tol).cayley(tol)
-    a_k = LinearRelation.from_operator(problem.t_max, tol).cayley(tol)
+    # the inverse Cayley image of T spans [I + T; I - T], of full rank as I + T^2 >= I
+    eye = np.eye(rel.space_dim)
+    a_f = LinearRelation.from_generators(eye + problem.t_min, eye - problem.t_min, tol)
+    a_k = LinearRelation.from_generators(eye + problem.t_max, eye - problem.t_max, tol)
     for name, ext in (("Friedrichs extension", a_f), ("Krein-von Neumann extension", a_k)):
         if not ext.contains(rel, tol):
             raise ConsistencyError(f"{name} does not extend the relation")
@@ -602,19 +606,18 @@ def antitonicity_check(h1, h2, mode: str, tol: ToleranceProfile | None = None) -
 def krein_uniqueness_relation(rel: LinearRelation, tol: ToleranceProfile | None = None) -> bool:
     """Uniqueness of the minimal-index extension of a symmetric relation.
 
-    Decided through the zero gap of the transformed column.  The
-    translation identities tying the relation side to the transform side
-    (the pairing against defect vectors and the quadratic form pulled back
-    through the resolvent) are verified on deterministic random probes.
+    Decided by the transformed column's :meth:`ExtremalPair.unique`.  Its
+    gap formula is verified, and so are the translation identities tying the
+    relation side to the transform side (the pairing against defect vectors
+    and the quadratic form pulled back through the resolvent, on
+    deterministic random probes).
     """
     tol = resolve(tol)
     _minimal_index(rel, tol)
     problem = extension_problem(rel, tol)
-    pair = problem.pair
-    gap = uniqueness_gap(pair, tol)
-    unique = norm2(gap) <= tol.residual * (1.0 + norm2(pair.t_min) + norm2(pair.t_max))
+    uniqueness_gap(problem.pair, tol)
     _assert_translation_identities(rel, problem, tol)
-    return unique
+    return problem.pair.unique(tol)
 
 
 def _assert_translation_identities(rel, problem: ExtensionProblem, tol: ToleranceProfile) -> None:

@@ -16,6 +16,7 @@ read off the one :class:`SpectralDecomposition`::
     spec.pinv_power(0.5)         # |A|^{[-1/2]}
     spec.range_projector()       # projector onto ran A
     spec.with_floor(f).inertia   # counted again under another floor
+    spec.map(f, floor)           # f(A) on the same eigenvectors, no new eigh
 
 The free functions (``inertia_of``, ``signature_of``, ``modulus_power``
 and the rest) decompose their argument and read one quantity off it.
@@ -104,6 +105,12 @@ class SpectralDecomposition:
     def with_floor(self, floor: float) -> "SpectralDecomposition":
         """The same spectrum re-thresholded under another floor."""
         return replace(self, floor=floor)
+
+    def map(self, f, floor: float) -> "SpectralDecomposition":
+        """``f(A)`` on the same eigenvectors (re-sorted ascending), under ``floor``."""
+        w = f(self.eigenvalues)
+        order = np.argsort(w, kind="stable")
+        return SpectralDecomposition(w[order], self.eigenvectors[:, order], self.tol, floor)
 
     @property
     def norm(self) -> float:

@@ -578,6 +578,7 @@ def _sweep_members(rng, rel, tol, count=2):
     pair = problem.pair
     n1 = problem.t11.shape[0]
     basis = np.hstack([problem.u1, problem.u2])
+    eye = np.eye(rel.space_dim)  # the inverse Cayley image of M spans [I + M; I - M]
     gap_corner = symmetrize((pair.t_max - pair.t_min)[n1:, n1:])
     n2 = gap_corner.shape[0]
     half = modulus_power(gap_corner, 0.5, tol)
@@ -590,13 +591,15 @@ def _sweep_members(rng, rel, tol, count=2):
         bump = np.zeros_like(pair.t_min)
         bump[n1:, n1:] = half @ c @ half
         t = symmetrize(pair.t_min + bump)
-        members.append(LinearRelation.from_operator(symmetrize(basis @ t @ basis.T), tol).cayley(tol))
+        m = symmetrize(basis @ t @ basis.T)
+        members.append(LinearRelation.from_generators(eye + m, eye - m, tol))
     outside = None
     if n2 > 0:
         bump = np.zeros_like(pair.t_min)
         bump[n1:, n1:] = 0.4 * np.eye(n2)
         t_bad = symmetrize(pair.t_max + bump)
-        outside = LinearRelation.from_operator(symmetrize(basis @ t_bad @ basis.T), tol).cayley(tol)
+        m = symmetrize(basis @ t_bad @ basis.T)
+        outside = LinearRelation.from_generators(eye + m, eye - m, tol)
     return members, outside
 
 

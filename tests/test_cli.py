@@ -245,15 +245,14 @@ def test_verify_corrupted_tolerance(capsys):
 
 
 def test_env_tolerance_override(monkeypatch, capsys):
-    from kreinkit.tolerances import default_tolerances, set_default_tolerances
+    from kreinkit.tolerances import default_tolerances
 
     before = default_tolerances()
-    try:
-        monkeypatch.setenv("KREINKIT_TOL", "1e-30")
-        code = main(["verify", "--suite", "completion", "--seed", "7", "--cases", "25"])
-        assert code == 1
-    finally:
-        set_default_tolerances(before)
+    monkeypatch.setenv("KREINKIT_TOL", "1e-30")
+    code = main(["verify", "--suite", "completion", "--seed", "7", "--cases", "25"])
+    assert code == 1
+    # the override lasts for the one call
+    assert default_tolerances() is before
     capsys.readouterr()
 
 

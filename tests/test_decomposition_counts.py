@@ -22,8 +22,14 @@ from kreinkit.cli import main
 from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion, schur_inertia
 from kreinkit.factor import JSpace
 from kreinkit.lifting import defect_data
-from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions
-from kreinkit.relations import LinearRelation, ext_membership, friedrichs_krein, relation_leq
+from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, split_counts
+from kreinkit.relations import (
+    LinearRelation,
+    ext_membership,
+    friedrichs_krein,
+    relation_inertia,
+    relation_leq,
+)
 
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
@@ -97,30 +103,72 @@ def test_defect_data_decomposes_each_defect_form_once(eigh_calls):
     assert _count(eigh_calls, defect_data, T, j1, JSpace.identity(2)) == 2
 
 
+def test_split_counts_decomposes_t_once(eigh_calls):
+    # I + T, I - T and I - T^2 are read off one spectrum of T
+    assert _count(eigh_calls, split_counts, T + T.T) == 1
+
+
 def test_extremal_extensions_decomposes_the_head_defect_once(eigh_calls):
-    assert _count(eigh_calls, extremal_extensions, COLUMN) <= 8
+    # T11, I - T1^T T1, and one split_counts per extreme
+    assert _count(eigh_calls, extremal_extensions, COLUMN) <= 4
+
+
+def _write_documents(tmp_path, **docs):
+    paths = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
 
 
 def test_extremes_command_builds_the_pair_once(eigh_calls, tmp_path, capsys):
-    paths = []
-    for name, block in (("t11", COLUMN.t11), ("t21", COLUMN.t21)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(jsonio.matrix_document(block)))
-        paths.append(str(path))
+    paths = _write_documents(
+        tmp_path, t11=jsonio.matrix_document(COLUMN.t11), t21=jsonio.matrix_document(COLUMN.t21)
+    )
     eigh_calls.clear()
     assert main(["extremes", *paths]) == 0
-    assert len(eigh_calls) == 8
+    assert len(eigh_calls) == 4
     assert json.loads(capsys.readouterr().out)["unique"] is False
 
 
+def test_extensions_command_decomposes_no_matrix_twice(monkeypatch, tmp_path, capsys):
+    decomposed = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        arr = np.asarray(a)
+        decomposed.append((arr.shape, arr.tobytes()))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    (path,) = _write_documents(tmp_path, rel=jsonio.relation_document(relation()))
+    friedrichs_krein(jsonio.load_relation(path))
+    building = Counter(decomposed)
+    decomposed.clear()
+    assert main(["extensions", path]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == 0
+    # the report reads the inertia that building the pair kept on each
+    # extreme, so the command decomposes exactly what building the pair does
+    assert Counter(decomposed) == building
+
+
 def test_relation_pipelines_share_the_column_spectrum(eigh_calls):
-    assert _count(eigh_calls, friedrichs_krein, relation()) <= 14
+    assert _count(eigh_calls, friedrichs_krein, relation()) <= 10
     _, a_k = friedrichs_krein(relation())
     assert _count(eigh_calls, ext_membership, relation(), a_k) <= 9
 
 
+def test_verified_extremes_keep_their_inertia(eigh_calls):
+    a_f, a_k = friedrichs_krein(relation())
+    # friedrichs_krein has counted both extremes already
+    assert _count(eigh_calls, relation_inertia, a_f) == 0
+    assert _count(eigh_calls, relation_inertia, a_k) == 0
+
+
 def test_relation_pipelines_factor_each_graph_once(svd_calls):
-    assert _count(svd_calls, friedrichs_krein, relation()) <= 10
+    # ran(I + A) off the kept Cayley graph, one SVD per extreme's graph
+    assert _count(svd_calls, friedrichs_krein, relation()) <= 6
     _, a_k = friedrichs_krein(relation())
     assert _count(svd_calls, ext_membership, relation(), a_k) <= 4
 

@@ -12,7 +12,8 @@ from kreinkit.quasicontraction import (
     split_counts,
     uniqueness_gap,
 )
-from kreinkit.spectral import loewner_leq, norm2, symmetrize
+from kreinkit.spectral import loewner_leq, negativity, norm2, symmetrize
+from kreinkit.tolerances import ToleranceProfile
 
 
 def nu_minus(matrix, scale_floor=1.0, threshold=1e-9):
@@ -41,6 +42,32 @@ def test_split_counts_property():
         minus, plus = split_counts(t)
         direct = nu_minus(np.eye(n) - t @ t, scale_floor=(1.0 + norm2(t)) ** 2)
         assert minus + plus == direct
+
+
+def test_counts_read_off_one_spectrum_match_direct_decompositions():
+    # split_counts and the column's counts map one spectrum of T; each count
+    # must equal a decomposition of I + T, I - T or I - T^2 formed directly,
+    # also where head eigenvalues sit exactly at -1 (at least one stays off
+    # -1, as in the relations the verifier draws)
+    rng = np.random.default_rng(41)
+    tol = ToleranceProfile()
+    for case in range(540):
+        exact_unit = case % 3
+        n1 = exact_unit + int(rng.integers(1, 5))
+        col = gens.random_quasicontraction_column(
+            rng, n1, int(rng.integers(0, 4)), exact_unit=exact_unit
+        )
+        pair = extremal_extensions(col, tol)
+        head_floor = (1.0 + norm2(col.t11)) ** 2
+        eye1 = np.eye(n1)
+        assert pair.kappa == negativity(symmetrize(eye1 - col.t11 @ col.t11), tol, floor=head_floor)
+        for t in (col.t11, pair.t_min, pair.t_max):
+            eye = np.eye(t.shape[0])
+            floor = (1.0 + norm2(t)) ** 2
+            direct = tuple(negativity(symmetrize(eye + s * t), tol, floor=floor) for s in (1.0, -1.0))
+            assert split_counts(t, tol) == direct
+        assert (pair.kappa_minus, pair.kappa_plus) == split_counts(col.t11, tol)
+        assert solvable(col, tol)
 
 
 def test_solvable_examples():

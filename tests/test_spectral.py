@@ -196,3 +196,14 @@ def test_quantities_read_off_one_decomposition():
     # only a positive floor zeroes sub-threshold eigenvalues in a power
     assert np.allclose(floored.power(0.5), np.diag([np.sqrt(3.0), np.sqrt(2.0), 0.0, 0.0]))
     assert spec.power(0.5)[2, 2] > 0.0
+
+
+def test_mapped_spectrum_is_the_function_of_the_matrix():
+    a = np.diag([0.5, -2.0, 1.0])
+    mapped = spectral_decompose(a).map(lambda w: (1.0 - w) * (1.0 + w), floor=4.0)
+    # 1 - w^2 reverses the order of |w|, and the values are re-sorted ascending
+    assert np.array_equal(mapped.eigenvalues, [-3.0, 0.0, 0.75])
+    assert mapped.floor == 4.0
+    assert mapped.inertia == inertia_of(np.eye(3) - a @ a, floor=4.0) == Inertia(1, 1, 1, 0)
+    assert np.allclose(mapped.reconstruct(), np.eye(3) - a @ a)
+    assert np.allclose(mapped.power(0.5), modulus_power(np.eye(3) - a @ a, 0.5))
