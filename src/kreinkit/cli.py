@@ -5,10 +5,11 @@ matrices and relations, block completions, extremal extensions of a
 symmetric column, liftings, Cayley transforms, Friedrichs / Krein-von
 Neumann extensions, and the randomized property verifier.
 
-Exit codes: 0 success, 1 verification failure, 2 mathematically infeasible
-(a criterion fails for the given data), 3 invalid input.  The environment
-variable ``KREINKIT_TOL`` overrides the default zero-classification
-threshold; per-command ``--tol`` takes precedence.
+Exit codes: 0 success, 1 verification failure (an identity the theory
+mandates fails numerically, or the eigensolver fails), 2 mathematically
+infeasible (a criterion fails for the given data), 3 invalid input.  The
+environment variable ``KREINKIT_TOL`` overrides the default
+zero-classification threshold; per-command ``--tol`` takes precedence.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from . import jsonio
 from .completion import IncompleteBlock, is_solution, minimal_completion
 from .errors import (
+    ConsistencyError,
+    EigenSolverError,
     InvalidInput,
     KreinkitError,
     NotAnExtension,
@@ -349,7 +352,8 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except KreinkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        internal = isinstance(exc, (ConsistencyError, EigenSolverError))
+        return EXIT_VERIFICATION_FAILED if internal else EXIT_INFEASIBLE
     finally:
         set_default_tolerances(base)
 

@@ -32,6 +32,7 @@ from .spectral import (
     inertia_of,
     loewner_leq,
     norm2,
+    norm_leq,
     spectral_decompose,
     symmetrize,
 )
@@ -96,7 +97,7 @@ class CompletionSolution:
 
 @per_profile
 def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
-    """Spectrum of ``a11``, ``S = |a11|^{[-1/2]} a12``, the inclusion residual and verdict.
+    """Spectrum of ``a11``, ``S = |a11|^{[-1/2]} a12`` and the inclusion verdict.
 
     The spectrum is floored at its own norm, so ``|a11|^{1/2}`` has its
     kernel zero-classified at the data scale: the fractional power would
@@ -108,13 +109,13 @@ def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
     spec = spectral_decompose(blk.a11, tol)
     spec = spec.with_floor(spec.norm)
     s = spec.pinv_power(0.5) @ blk.a12
-    residual = norm2(spec.power(0.5) @ s - blk.a12)
-    return spec, s, residual, residual <= tol.residual * (1.0 + norm2(blk.a12))
+    included = norm_leq(spec.power(0.5) @ s - blk.a12, lambda nb: tol.residual * (1.0 + nb), blk.a12)
+    return spec, s, included
 
 
 def completable(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> bool:
     """Range-inclusion criterion: ``ran a12`` inside ``ran |a11|^{1/2}``."""
-    return _factor(blk, tol)[3]
+    return _factor(blk, tol)[2]
 
 
 @per_profile
@@ -124,8 +125,9 @@ def minimal_completion(blk: IncompleteBlock, tol: ToleranceProfile | None = None
     Raises :class:`NotCompletable` (with the best least-squares residual
     attached) when the range inclusion fails.
     """
-    spec, s, residual, included = _factor(blk, tol)
+    spec, s, included = _factor(blk, tol)
     if not included:
+        residual = norm2(spec.power(0.5) @ s - blk.a12)
         raise NotCompletable(
             f"ran a12 is not contained in ran |a11|^(1/2); best residual {residual:.3e}",
             residual=residual,

@@ -21,6 +21,7 @@ from .spectral import (
     loewner_leq,
     negativity,
     norm2,
+    norm_leq,
     rank_of,
     spectral_decompose,
     symmetrize,
@@ -51,7 +52,7 @@ class JSpace:
         if j.shape[0] != self.dim:
             raise DimensionMismatch(f"symmetry has dim {j.shape[0]}, expected {self.dim}")
         tol = default_tolerances()
-        if self.dim and norm2(j @ j - np.eye(self.dim)) > tol.residual * (1.0 + norm2(j) ** 2):
+        if not norm_leq(j @ j - np.eye(self.dim), lambda nj: tol.residual * (1.0 + nj ** 2), j):
             raise InvalidInput("j is not an involution (j^2 != I)")
 
     @classmethod
@@ -139,11 +140,10 @@ def _classify(
     factor actually lives on (the kernel convention signs the complement
     ``+1``, which must not pollute the isometry test).
     """
-    scale = 1.0 + norm2(factor) ** 2
     restricted = _restricted(source_gram, source_projector)
     contractive = loewner_leq(np.zeros_like(source_gram), source_gram, tol)
     cocontractive = loewner_leq(np.zeros_like(target_gram), target_gram, tol)
-    isometric = norm2(restricted) <= tol.residual * scale
+    isometric = norm_leq(restricted, lambda nf: tol.residual * (1.0 + nf ** 2), factor)
     if isometric:
         if surjective:
             return "unitary"
@@ -225,7 +225,7 @@ def douglas_factor(
         if not loewner_leq(gram, a_sym, tol):
             return None
     else:
-        if norm2(a_sym - gram) > tol.residual * (1.0 + spec.norm + norm2(gram)):
+        if not norm_leq(a_sym - gram, lambda ng: tol.residual * (1.0 + spec.norm + ng), gram):
             return None
     c = b_arr @ spec.pinv_power(0.5)
     j_a = spec.sign()
@@ -259,7 +259,7 @@ def bicontraction_classify(
         return BicontractionCase(case="neither", witness=None)
     gram = symmetrize(b_arr.T @ j2.j @ b_arr)
     witness = b_arr @ spec.pinv_power(0.5)
-    if norm2(a_sym - gram) <= tol.residual * (1.0 + spec.norm + norm2(gram)):
+    if norm_leq(a_sym - gram, lambda ng: tol.residual * (1.0 + spec.norm + ng), gram):
         return BicontractionCase(case="ii", witness=witness)
     if loewner_leq(gram, a_sym, tol):
         return BicontractionCase(case="i", witness=witness)

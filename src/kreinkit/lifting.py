@@ -44,6 +44,7 @@ from .spectral import (
     moore_penrose_power,
     negativity,
     norm2,
+    norm_leq,
     orthonormal_columns,
     projector,
     rank_of,
@@ -173,12 +174,10 @@ def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) 
         spec_t=spec1,
         spec_tstar=spec2,
     )
-    scale = 1.0 + norm2(t_arr) ** 2
-    link_res = max(
-        norm2(d_tstar @ data.l_t - t_arr @ j1.j @ d_t),
-        norm2(d_t @ data.l_tstar - t_arr.T @ j2.j @ d_tstar),
-    )
-    if link_res > tol.residual * scale * (1.0 + norm2(d_t) + norm2(d_tstar)):
+    links = (d_tstar @ data.l_t - t_arr @ j1.j @ d_t, d_t @ data.l_tstar - t_arr.T @ j2.j @ d_tstar)
+    if not all(norm_leq(link, lambda nt, n1, n2: tol.residual * (1.0 + nt ** 2) * (1.0 + n1 + n2),
+                        t_arr, d_t, d_tstar) for link in links):
+        link_res = max(norm2(link) for link in links)
         raise ConsistencyError(f"link operator defining relations failed: {link_res:.3e}")
     return data
 
@@ -198,14 +197,15 @@ def verify_link_identities(d: JContractionData, tol: ToleranceProfile | None = N
     tol = resolve(tol)
     p1 = d.spec_t.range_projector()
     p2 = d.spec_tstar.range_projector()
-    scale = (1.0 + norm2(d.t)) ** 2 * (1.0 + norm2(d.d_t) + norm2(d.d_tstar)) ** 2
-    bound = tol.residual * scale
-    first = norm2(d.l_t.T @ d.jtstar - d.jt @ d.l_tstar) <= bound
     left2 = p1 @ (d.jt - d.d_t @ d.j1.j @ d.d_t) @ p1
-    second = norm2(symmetrize(left2) - symmetrize(d.l_t.T @ d.jtstar @ d.l_t)) <= bound
     left3 = p2 @ (d.jtstar - d.d_tstar @ d.j2.j @ d.d_tstar) @ p2
-    third = norm2(symmetrize(left3) - symmetrize(d.l_tstar.T @ d.jt @ d.l_tstar)) <= bound
-    return bool(first and second and third)
+    residuals = (
+        d.l_t.T @ d.jtstar - d.jt @ d.l_tstar,
+        symmetrize(left2) - symmetrize(d.l_t.T @ d.jtstar @ d.l_t),
+        symmetrize(left3) - symmetrize(d.l_tstar.T @ d.jt @ d.l_tstar),
+    )
+    return all(norm_leq(r, lambda nt, n1, n2: tol.residual * ((1.0 + nt) ** 2 * (1.0 + n1 + n2) ** 2),
+                        d.t, d.d_t, d.d_tstar) for r in residuals)
 
 
 def _check_parameter(
@@ -225,12 +225,12 @@ def _check_parameter(
     ``J_source - P^T J_target P >= 0`` within the order slack.
     """
     kernel_projector = np.eye(param.shape[0]) - target.range_projector()
-    leak = norm2(kernel_projector @ param)
-    if leak > tol.subspace * (1.0 + norm2(param)):
+    leak = kernel_projector @ param
+    if not norm_leq(leak, lambda npar: tol.subspace * (1.0 + npar), param):
         raise ParameterInvariantViolated(
-            f"{what} has a component of size {leak:.3e} against the defect kernel"
+            f"{what} has a component of size {norm2(leak):.3e} against the defect kernel"
         )
-    clean = param - kernel_projector @ param
+    clean = param - leak
     gram = symmetrize(j_source - clean.T @ j_target @ clean)
     if not loewner_leq(np.zeros_like(gram), gram, tol):
         raise exc(f"{what} is not J-contractive")
@@ -288,10 +288,10 @@ def _defect_solve(
 ) -> np.ndarray:
     """Solve ``defect @ sol = rhs`` with ``defect = |M|^{1/2}`` read off ``spec``."""
     sol = spec.pinv_power(0.5) @ rhs
-    residual = norm2(defect @ sol - rhs)
-    if residual > tol.residual * (1.0 + norm2(rhs)):
+    residual = defect @ sol - rhs
+    if not norm_leq(residual, lambda nr: tol.residual * (1.0 + nr), rhs):
         raise RangeInclusionFailed(
-            f"ran {what} is not contained in the defect subspace (residual {residual:.3e})"
+            f"ran {what} is not contained in the defect subspace (residual {norm2(residual):.3e})"
         )
     return sol
 
@@ -426,7 +426,7 @@ def lift(
     g2t = _check_parameter(g2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
                            exc=ParameterInvariantViolated)
     g2 = g2t.T
-    if norm2(g) > 1.0 + tol.psd:
+    if not norm_leq(g, lambda: 1.0 + tol.psd):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(g):.6f} > 1")
     params = LiftParameters(gamma1=g1, gamma2=g2, gamma=g)
     spec_g1, spec_g2star = _parameter_defects(d, params, j1prime, j2prime, tol)
@@ -467,7 +467,7 @@ def extract_lift_parameters(
             f"exit dimensions ({n1p}, {n2p}) do not match the exit symmetries"
         )
     compression = t_arr[:n2, :n1]
-    if norm2(compression - d.t) > tol.residual * (1.0 + norm2(d.t)):
+    if not norm_leq(compression - d.t, lambda nt: tol.residual * (1.0 + nt), d.t):
         raise NotALifting("the candidate does not compress to the original operator")
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     got = counts(t_arr)
@@ -483,7 +483,7 @@ def extract_lift_parameters(
     residual = x + gamma2 @ d.jt @ d.l_tstar @ gamma1
     gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
     back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
-    if norm2(back - residual) > tol.residual * (1.0 + norm2(residual)):
+    if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
         raise RangeInclusionFailed(
             "the corner residual does not factor through the parameter defects"
         )
@@ -553,8 +553,7 @@ def j_isometry_test(d: JContractionData, tol: ToleranceProfile | None = None) ->
     tol = resolve(tol)
     _require_j_contraction(d, tol)
     gram = symmetrize(d.t.T @ d.j2.j @ d.t)
-    scale = 1.0 + norm2(d.t) ** 2
-    gram_ok = norm2(gram - d.j1.j) <= tol.residual * scale
+    gram_ok = norm_leq(gram - d.j1.j, lambda nt: tol.residual * (1.0 + nt ** 2), d.t)
     ran_t = orthonormal_columns(d.t, tol)
     ran_dstar = orthonormal_columns(d.d_tstar, tol)
     trivial_kernel = rank_of(d.t, tol) == d.dim1

@@ -30,6 +30,7 @@ from .spectral import (
     loewner_leq,
     negativity,
     norm2,
+    norm_leq,
     spectral_decompose,
     symmetrize,
 )
@@ -107,7 +108,7 @@ class ExtremalPair:
         """``t_min == t_max``, decided algebraically through ``I - V J V^T = 0``."""
         tol = resolve(tol)
         defect = np.eye(self.dim2) - self.v @ self.j @ self.v.T
-        return bool(norm2(defect) <= tol.residual * (1.0 + norm2(self.v) ** 2))
+        return norm_leq(defect, lambda nv: tol.residual * (1.0 + nv ** 2), self.v)
 
 
 # I + T, I - T and I - T^2 on the eigenvalues w of T; 1 - w^2 is formed as
@@ -195,10 +196,9 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
     defect = spec.map(_DEFECT, head_floor)
     t_min, t_max, v, j, coupling = _extremal_blocks(col.t11, col.t21, defect)
     # coupling = D V^T = D |I - T11^2|^{[-1/2]} T21^T is the best factor of T21^T
-    inclusion_residual = norm2(coupling - col.t21.T)
-    if inclusion_residual > tol.residual * (1.0 + norm2(col.t21)):
+    if not norm_leq(coupling - col.t21.T, lambda nt: tol.residual * (1.0 + nt), col.t21):
         raise ConsistencyError(
-            f"coupling rows leave the defect range (residual {inclusion_residual:.3e}) "
+            f"coupling rows leave the defect range (residual {norm2(coupling - col.t21.T):.3e}) "
             "although the index criterion holds"
         )
     kappa = defect.inertia.n_minus
@@ -214,8 +214,8 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
                 f"expected ({kappa_minus}, {kappa_plus})"
             )
     neg_min, neg_max, _, _, _ = _extremal_blocks(-col.t11, -col.t21, defect)
-    scale = 1.0 + norm2(t_min) + norm2(t_max)
-    if norm2(neg_min + t_max) > tol.residual * scale or norm2(neg_max + t_min) > tol.residual * scale:
+    duality = (neg_min + t_max, neg_max + t_min)
+    if not all(norm_leq(r, lambda a, b: tol.residual * (1.0 + a + b), t_min, t_max) for r in duality):
         raise ConsistencyError("negation duality of the extreme extensions failed")
     return ExtremalPair(
         t_min=t_min,
@@ -240,9 +240,9 @@ def is_member(pair: ExtremalPair, t, tol: ToleranceProfile | None = None) -> boo
     if t_sym.shape[0] != n:
         raise DimensionMismatch(f"T has dim {t_sym.shape[0]}, expected {n}")
     column = pair.t_min[:, : pair.dim1]
-    gap = norm2(t_sym[:, : pair.dim1] - column)
-    if gap > tol.residual * (1.0 + norm2(column)):
-        raise NotAnExtension(f"first block column differs by {gap:.3e}")
+    gap = t_sym[:, : pair.dim1] - column
+    if not norm_leq(gap, lambda nc: tol.residual * (1.0 + nc), column):
+        raise NotAnExtension(f"first block column differs by {norm2(gap):.3e}")
     return loewner_leq(pair.t_min, t_sym, tol) and loewner_leq(t_sym, pair.t_max, tol)
 
 
@@ -257,10 +257,10 @@ def uniqueness_gap(pair: ExtremalPair, tol: ToleranceProfile | None = None) -> n
     n1, n2 = pair.dim1, pair.dim2
     predicted = np.zeros_like(gap)
     predicted[n1:, n1:] = 2.0 * (np.eye(n2) - pair.v @ pair.j @ pair.v.T)
-    scale = 1.0 + norm2(pair.t_min) + norm2(pair.t_max)
-    if norm2(gap - symmetrize(predicted)) > tol.residual * scale:
+    if not norm_leq(gap - symmetrize(predicted), lambda a, b: tol.residual * (1.0 + a + b),
+                    pair.t_min, pair.t_max):
         raise ConsistencyError("gap formula violated")
-    gap_zero = norm2(gap) <= tol.residual * scale
+    gap_zero = norm_leq(gap, lambda a, b: tol.residual * (1.0 + a + b), pair.t_min, pair.t_max)
     if n2 > 0 and n1 > 0:
         data = defect_data(pair.v.T, JSpace.identity(n2), JSpace.from_matrix(pair.j), tol)
         report = j_isometry_test(data, tol)

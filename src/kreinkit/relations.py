@@ -47,10 +47,11 @@ from .spectral import (
     loewner_leq,
     negativity,
     norm2,
+    norm_leq,
     orthonormal_columns,
     projector,
     spectral_decompose,
-    subspace_distance,
+    subspaces_equal,
     symmetrize,
 )
 from .tolerances import ToleranceProfile, memoized, per_profile, resolve
@@ -247,7 +248,7 @@ class LinearRelation:
         tol = resolve(tol)
         if self.space_dim != other.space_dim:
             return False
-        return subspace_distance(self.basis, other.basis) <= tol.subspace
+        return subspaces_equal(self.basis, other.basis, tol)
 
     def contains(self, other: "LinearRelation", tol: ToleranceProfile | None = None) -> bool:
         """Graph containment ``other`` inside ``self``."""
@@ -257,8 +258,7 @@ class LinearRelation:
         if other.graph_dim == 0:
             return True
         eye = np.eye(2 * self.space_dim)
-        leak = norm2((eye - self.graph_projector()) @ other.basis)
-        return leak <= tol.subspace
+        return norm_leq((eye - self.graph_projector()) @ other.basis, lambda: tol.subspace)
 
 
 @per_profile
@@ -271,8 +271,7 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
     index of the symmetrized Gram.
     """
     gram_raw = rel.first.T @ rel.second
-    scale = 1.0 + norm2(gram_raw)
-    symmetric = norm2(gram_raw - gram_raw.T) <= tol.residual * scale
+    symmetric = norm_leq(gram_raw - gram_raw.T, lambda ng: tol.residual * (1.0 + ng), gram_raw)
     selfadjoint = symmetric and rel.graph_dim == rel.space_dim
     gram = symmetrize(gram_raw)
     # graph bases are orthonormal, so the form has unit natural scale
@@ -297,9 +296,9 @@ def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
     """
     u, s, v, d = rel._graph_split(tol)
     coeff = v[:, :d] / s[:d]
-    residual = norm2(rel.first @ coeff - u[:, :d])
-    if residual > tol.residual * (1.0 + float(d)):
-        raise ConsistencyError(f"domain basis failed to resolve in the graph: {residual:.3e}")
+    residual = rel.first @ coeff - u[:, :d]
+    if not norm_leq(residual, lambda: tol.residual * (1.0 + float(d))):
+        raise ConsistencyError(f"domain basis failed to resolve in the graph: {norm2(residual):.3e}")
     return u[:, :d], rel.second @ coeff
 
 
@@ -309,10 +308,9 @@ def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -
     cls = classify(rel, tol)
     if not cls.selfadjoint:
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
-    u, images = operator_part(rel, tol)
-    spec = spectral_decompose(symmetrize(u.T @ images), tol)
+    _, spec = _operator_spectrum(rel, tol)
     counts = spec.with_floor(1.0 + spec.norm).inertia
-    i_inf = rel.space_dim - u.shape[1]
+    i_inf = rel.space_dim - spec.eigenvalues.size
     return RelationInertia(counts.n_plus, counts.n_minus, counts.n_zero, i_inf)
 
 
@@ -325,11 +323,11 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
     """
     tol = resolve(tol)
     u, _ = operator_part(rel, tol)
-    m, w = _operator_spectrum(rel, tol)
-    d = u.shape[1]
+    m, spec = _operator_spectrum(rel, tol)
+    w, d = spec.eigenvalues, u.shape[1]
     if d == 0:
         return np.zeros((rel.space_dim, rel.space_dim))
-    if w[0] - a <= tol.zero * (1.0 + float(np.max(np.abs(w)))):
+    if w[0] - a <= tol.zero * (1.0 + spec.norm):
         raise ShiftNotAdmissible(
             f"shift {a} does not stay below the operator-part minimum {w[0]:.6g}"
         )
@@ -339,14 +337,18 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
 
 @per_profile
 def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
-    """The operator part ``U^T W`` on the domain and its ascending eigenvalues."""
+    """The operator part ``U^T W`` on the domain and its one decomposition.
+
+    :func:`relation_inertia`, :func:`resolvent_matrix` and the order's
+    shift all read this spectrum, so each operator part is decomposed once.
+    """
     u, images = operator_part(rel, tol)
     m = symmetrize(u.T @ images)
-    return m, (np.linalg.eigvalsh(m) if m.size else np.zeros(0))
+    return m, spectral_decompose(m, tol)
 
 
 def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
-    w = _operator_spectrum(rel, tol)[1]
+    w = _operator_spectrum(rel, tol)[1].eigenvalues
     return float(w[0]) if w.size else np.inf
 
 
@@ -650,7 +652,7 @@ def _assert_translation_identities(rel, problem: ExtensionProblem, tol: Toleranc
     p_op = np.eye(n) - projector(mul)
     images = p_op @ second_parts
     a_hat_raw = first_parts.T @ images
-    if norm2(a_hat_raw - a_hat_raw.T) > 1e-10 * (1.0 + norm2(a_hat_raw)):
+    if not norm_leq(a_hat_raw - a_hat_raw.T, lambda na: tol.zero * (1.0 + na), a_hat_raw):
         raise ConsistencyError("the resolvent-compressed operator is not symmetric")
     a_hat = symmetrize(a_hat_raw)
     rng = np.random.default_rng(0)
@@ -662,11 +664,11 @@ def _assert_translation_identities(rel, problem: ExtensionProblem, tol: Toleranc
         f_part = rel.first @ coeffs
         fp_part = p_op @ (rel.second @ coeffs)
         rhs_form = 4.0 * float(fp_part @ f_part)
-        if abs(lhs_form - rhs_form) > 1e-10 * scale * (1.0 + g @ g):
+        if abs(lhs_form - rhs_form) > tol.zero * scale * (1.0 + g @ g):
             raise ConsistencyError("quadratic translation identity failed")
         if u2.shape[1]:
             phi = u2 @ rng.standard_normal(u2.shape[1])
             lhs_pair = float((t1 @ g) @ phi)
             rhs_pair = 2.0 * float((res @ g) @ phi)
-            if abs(lhs_pair - rhs_pair) > 1e-10 * scale * (1.0 + g @ g + phi @ phi):
+            if abs(lhs_pair - rhs_pair) > tol.zero * scale * (1.0 + g @ g + phi @ phi):
                 raise ConsistencyError("pairing translation identity failed")

@@ -6,6 +6,9 @@ kernel signed ``+1``, fractional moduli ``|A|^p``, Moore-Penrose powers
 ``|A|^{[-p]}``, range-inclusion factorization, Loewner-order comparison,
 and a small kit of orthonormal-subspace helpers.
 
+Each decision ``norm2(R) <= bound(norm2(B), ...)`` goes through
+:func:`norm_leq`, which runs the SVDs only when Frobenius bounds straddle it.
+
 A symmetric matrix is decomposed once; every spectral quantity is then
 read off the one :class:`SpectralDecomposition`::
 
@@ -28,6 +31,7 @@ are real; the adjoint is the transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +46,7 @@ __all__ = [
     "as_symmetric",
     "symmetrize",
     "norm2",
+    "norm_leq",
     "spectral_decompose",
     "inertia_of",
     "negativity",
@@ -226,6 +231,42 @@ def norm2(a) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
+# |A|_F / sqrt(min(shape)) <= |A|_2 <= |A|_F (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, §6.2), widened by a relative guard far above the
+# rounding of the SVD and of the sum of squares, which may under- or overflow
+# outside _SQUARES_SAFE
+_GUARD = 1e-10
+_SQUARES_SAFE = (1e-140, 1e140)
+
+
+def _norm_bounds(a) -> tuple[float, float]:
+    """``lo <= norm2(a) <= hi`` off the Frobenius norm, with no SVD; a float is exact."""
+    if isinstance(a, float):
+        return a, a
+    arr = np.asarray(a, dtype=float)
+    fro = math.sqrt(float(np.vdot(arr, arr)))
+    if not _SQUARES_SAFE[0] < fro < _SQUARES_SAFE[1]:
+        return (0.0, math.inf) if arr.any() else (0.0, 0.0)
+    k = min(arr.shape) if arr.ndim == 2 else 1
+    return fro / math.sqrt(k) * (1.0 - _GUARD), fro * (1.0 + _GUARD)
+
+
+def norm_leq(r, bound, *operands) -> bool:
+    """``norm2(r) <= bound(norm2(o1), ...)`` for ``bound`` nondecreasing in each norm.
+
+    Settled by :func:`_norm_bounds` unless they straddle the bound; only then
+    are the SVDs run, so the verdict is the direct one.  Floats are known norms.
+    """
+    lo, hi = _norm_bounds(r)
+    spans = [_norm_bounds(o) for o in operands]
+    if hi <= bound(*(s[0] for s in spans)):
+        return True
+    if lo > bound(*(s[1] for s in spans)):
+        return False
+    exact = [o if isinstance(o, float) else norm2(o) for o in (r, *operands)]
+    return bool(exact[0] <= bound(*exact[1:]))
+
+
 def spectral_decompose(
     a, tol: ToleranceProfile | None = None, floor: float = 0.0
 ) -> SpectralDecomposition:
@@ -296,8 +337,7 @@ def range_factor(m, b, tol: ToleranceProfile | None = None) -> np.ndarray | None
             f"row count of B ({b_arr.shape[0]}) must equal dim of M ({m_sym.shape[0]})"
         )
     s = pinv_symmetric(m_sym, tol) @ b_arr
-    residual = norm2(m_sym @ s - b_arr)
-    if residual > tol.residual * (1.0 + norm2(b_arr)):
+    if not norm_leq(m_sym @ s - b_arr, lambda nb: tol.residual * (1.0 + nb), b_arr):
         return None
     return s
 
@@ -306,7 +346,8 @@ def loewner_leq(a, b, tol: ToleranceProfile | None = None) -> bool:
     """Loewner order test ``A <= B`` with relative slack.
 
     True iff the minimal eigenvalue of ``B - A`` is at least
-    ``-psd * (1 + |A| + |B|)``.
+    ``-psd * (1 + |A| + |B|)``; that slack is at least ``psd``, so the norms
+    (certified by :func:`norm_leq`) are needed only below ``-psd``.
     """
     tol = resolve(tol)
     a_sym = as_symmetric(a, tol)
@@ -315,9 +356,9 @@ def loewner_leq(a, b, tol: ToleranceProfile | None = None) -> bool:
         raise DimensionMismatch(f"shapes {a_sym.shape} and {b_sym.shape} differ")
     if a_sym.shape[0] == 0:
         return True
-    diff = np.linalg.eigvalsh(symmetrize(b_sym - a_sym))
-    slack = tol.psd * (1.0 + norm2(a_sym) + norm2(b_sym))
-    return bool(diff[0] >= -slack)
+    lowest = float(np.linalg.eigvalsh(symmetrize(b_sym - a_sym))[0])
+    return lowest >= -tol.psd or norm_leq(
+        -lowest, lambda na, nb: tol.psd * (1.0 + na + nb), a_sym, b_sym)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +410,7 @@ def subspace_distance(q1, q2) -> float:
 
 def subspaces_equal(q1, q2, tol: ToleranceProfile | None = None) -> bool:
     tol = resolve(tol)
-    return subspace_distance(q1, q2) <= tol.subspace
+    return norm_leq(projector(q1) - projector(q2), lambda: tol.subspace)
 
 
 def intersect_subspaces(q1, q2, tol: ToleranceProfile | None = None) -> np.ndarray:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import kreinkit
-from kreinkit import gens
+from kreinkit import cli, gens
 from kreinkit.cli import main
-from kreinkit.errors import InvalidInput
+from kreinkit.errors import InvalidInput, KreinkitError
 from kreinkit.jsonio import (
     matrix_document,
     parse_matrix,
@@ -287,3 +287,45 @@ def test_printed_matrices_reparse_exactly(tmp_path, capsys):
     assert json.dumps(matrix_document(s), sort_keys=True) == json.dumps(
         report["s"], sort_keys=True
     )
+
+
+# exit-code class of every package error: 1 for an internal numerical
+# failure, 2 for a criterion that fails on the data, 3 for invalid input
+EXIT_CLASS = {
+    "KreinkitError": 2,
+    "InvalidInput": 3,
+    "DimensionMismatch": 3,
+    "EigenSolverError": 1,
+    "ConsistencyError": 1,
+    "NotCompletable": 2,
+    "HypothesisViolated": 2,
+    "NotJContractive": 2,
+    "NegativeTargetIndex": 2,
+    "RangeInclusionFailed": 2,
+    "ParameterInvariantViolated": 2,
+    "NotALifting": 2,
+    "IndexMismatch": 2,
+    "NotSolvable": 2,
+    "NotAnExtension": 2,
+    "NotSymmetric": 2,
+    "NotSelfadjoint": 2,
+    "ShiftNotAdmissible": 2,
+    "PreconditionViolated": 2,
+}
+
+
+def _error_classes(base=KreinkitError):
+    yield base
+    for sub in base.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_class(error, monkeypatch, capsys):
+    def failing(args):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "_cmd_inertia", failing)
+    # a KeyError here means a new error class has no exit-code class yet
+    assert main(["inertia", "unused.json"]) == EXIT_CLASS[error.__name__]
+    assert "forced" in capsys.readouterr().err

@@ -8,7 +8,9 @@ domain, multivalued part and operator part off one SVD of its graph, so a
 rise here means something is decomposed again.  What a block or relation
 has computed once is kept on it, so a query against an instance queried
 before pays only for its candidate; the fresh-instance counts build every
-instance anew.
+instance anew.  A norm compared with a bound is settled from Frobenius
+bounds where they suffice, so queries on kept instances also pin the
+spectral norms taken by SVD (``numpy.linalg.norm`` with ``ord=2``).
 """
 
 import json
@@ -22,14 +24,16 @@ from kreinkit.cli import main
 from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion, schur_inertia
 from kreinkit.factor import JSpace
 from kreinkit.lifting import defect_data
-from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, split_counts
+from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_member, split_counts
 from kreinkit.relations import (
     LinearRelation,
     ext_membership,
     friedrichs_krein,
+    operator_part,
     relation_inertia,
     relation_leq,
 )
+from kreinkit.spectral import loewner_leq, symmetrize
 
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
@@ -59,8 +63,8 @@ class StoreCounter(dict):
         super().__setitem__(key, value)
 
 
-def _counting(monkeypatch, name):
-    calls = []
+def _counting(monkeypatch, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
@@ -79,6 +83,21 @@ def eigh_calls(monkeypatch):
 @pytest.fixture
 def svd_calls(monkeypatch):
     return _counting(monkeypatch, "svd")
+
+
+@pytest.fixture
+def norm2_calls(monkeypatch):
+    """Spectral norms taken by SVD: ``numpy.linalg.norm`` with ``ord=2``."""
+    calls = []
+    original = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
 
 
 def _count(calls, fn, *args):
@@ -186,13 +205,63 @@ def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, s
 
 
 def test_relation_order_builds_each_operator_part_once(monkeypatch):
-    eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
+    # eigh for the operator parts, eigvalsh for the Loewner tests
+    decompositions = _counting(monkeypatch, "eigh", _counting(monkeypatch, "eigvalsh"))
     h1 = LinearRelation.from_operator(np.diag([1.0, 2.0]))
     h2 = LinearRelation.from_operator(np.diag([1.5, 3.0]))
     h1._memo, h2._memo = StoreCounter(), StoreCounter()
-    # one operator-part spectrum per relation and the two Loewner tests
-    assert _count(eigvalsh_calls, relation_leq, h1, h2) == 4
+    # the two classifications, one operator-part spectrum per relation and
+    # the two Loewner tests
+    assert _count(decompositions, relation_leq, h1, h2) == 6
     assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
     # asked again, only the Loewner tests of the resolvents run
-    assert _count(eigvalsh_calls, relation_leq, h1, h2) == 2
+    assert _count(decompositions, relation_leq, h1, h2) == 2
     assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
+
+
+def test_order_test_on_a_nonnegative_gap_takes_no_norm(norm2_calls):
+    a = np.diag([1.0, -2.0, 0.5])
+    assert _count(norm2_calls, loewner_leq, a, a + np.diag([0.0, 1.0, 3.0])) == 0
+    # a gap far below the slack is refused from the Frobenius bounds
+    assert _count(norm2_calls, loewner_leq, a, a - np.eye(3)) == 0
+
+
+def test_queries_on_kept_instances_take_no_svd_norm(norm2_calls):
+    # the kept a22_min, t_min/t_max and the candidates' residuals are
+    # all compared through their Frobenius bounds
+    blk = block()
+    a22_min = minimal_completion(blk).a22_min
+    for corner in (a22_min, a22_min + np.eye(2), a22_min - np.eye(2)):
+        assert _count(norm2_calls, is_solution, blk, corner) == 0
+    pair = extremal_extensions(COLUMN)
+    outside = pair.t_max.copy()
+    outside[2:, 2:] += 0.4
+    for t in (pair.t_min, (pair.t_min + pair.t_max) / 2.0, pair.t_max, outside):
+        assert _count(norm2_calls, is_member, pair, t) == 0
+    rel = relation()
+    for ext in friedrichs_krein(rel):
+        candidate = LinearRelation(ext.space_dim, ext.basis)
+        assert _count(norm2_calls, ext_membership, rel, candidate) == 0
+
+
+def test_member_triple_decomposes_each_operator_part_once(monkeypatch):
+    decomposed = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            decomposed.append(np.asarray(a).tobytes())
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    rel = relation()
+    _, a_k = friedrichs_krein(rel)
+    for ext in friedrichs_krein(rel):
+        candidate = LinearRelation(ext.space_dim, ext.basis)
+        decomposed.clear()
+        # verify's member triple reads the candidate's operator part twice:
+        # for the resolvent shift of the order and for its inertia
+        relation_leq(a_k, candidate)
+        relation_inertia(candidate)
+        u, images = operator_part(candidate)
+        assert Counter(decomposed)[symmetrize(u.T @ images).tobytes()] == 1

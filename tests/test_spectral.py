@@ -3,6 +3,7 @@ import pytest
 
 from kreinkit import gens
 from kreinkit.errors import DimensionMismatch, InvalidInput
+from kreinkit.tolerances import ToleranceProfile
 from kreinkit.spectral import (
     Inertia,
     as_symmetric,
@@ -12,6 +13,7 @@ from kreinkit.spectral import (
     modulus_power,
     moore_penrose_power,
     norm2,
+    norm_leq,
     orthonormal_columns,
     pinv_symmetric,
     projector,
@@ -207,3 +209,61 @@ def test_mapped_spectrum_is_the_function_of_the_matrix():
     assert mapped.inertia == inertia_of(np.eye(3) - a @ a, floor=4.0) == Inertia(1, 1, 1, 0)
     assert np.allclose(mapped.reconstruct(), np.eye(3) - a @ a)
     assert np.allclose(mapped.power(0.5), modulus_power(np.eye(3) - a @ a, 0.5))
+
+
+DELTAS = (1e-14, 1e-11, 1e-9, 1e-3)
+
+
+def _gate_cases(rng):
+    """Dense, rank-one (Frobenius norm = spectral norm), zero and empty matrices."""
+    for _ in range(40):
+        m, n = rng.integers(1, 7, size=2)
+        yield rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-6, 6)
+        yield np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    yield np.zeros((3, 2))
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        yield np.zeros(shape)
+
+
+def test_norm_gate_agrees_with_the_spectral_norm():
+    rng = np.random.default_rng(5)
+    for r in _gate_cases(rng):
+        exact = norm2(r)
+        for delta in DELTAS:
+            for sign in (-1.0, 1.0):
+                target = exact * (1.0 + sign * delta)
+                assert norm_leq(r, lambda: target) == (exact <= target)
+                # a bound scaled by the norm of a dense or a float operand
+                for b in (rng.standard_normal((4, 3)), float(rng.uniform(0.0, 5.0))):
+                    nb = b if isinstance(b, float) else norm2(b)
+                    c = target / (1.0 + nb)
+                    assert norm_leq(r, lambda x: c * (1.0 + x), b) == (exact <= c * (1.0 + nb))
+        # a float residual is its own norm
+        assert norm_leq(exact, lambda: exact)
+        assert not norm_leq(exact + 1.0, lambda: exact)
+    assert not norm_leq(np.full((2, 2), 1e-300), lambda: 0.0)
+
+
+def _head_loewner(a, b, tol):
+    """The order test with both norms taken by SVD."""
+    lowest = np.linalg.eigvalsh(symmetrize(b - a))[0]
+    return bool(lowest >= -tol.psd * (1.0 + norm2(a) + norm2(b)))
+
+
+def test_loewner_gate_agrees_with_the_direct_slack():
+    rng = np.random.default_rng(9)
+    tol = ToleranceProfile()
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        a = gens.random_symmetric(rng, n) * 10.0 ** rng.uniform(-2, 4)
+        q = gens.random_orthogonal(rng, n)
+        gap = rng.uniform(0.0, 1.0, n)
+        slack = tol.psd * (1.0 + norm2(a) + norm2(a + q @ np.diag(gap) @ q.T))
+        # the lowest eigenvalue of B - A just inside and just outside -psd
+        # (where the norms start to matter) and the full slack
+        for edge in (tol.psd, slack):
+            for delta in DELTAS:
+                for sign in (-1.0, 1.0):
+                    gap[0] = -edge * (1.0 + sign * delta)
+                    b = symmetrize(a + q @ np.diag(gap) @ q.T)
+                    assert loewner_leq(a, b, tol) == _head_loewner(a, b, tol)
