@@ -27,9 +27,9 @@ from .errors import DimensionMismatch, NotCompletable
 from .spectral import (
     Inertia,
     SpectralDecomposition,
+    _inertia,
     as_matrix,
     as_symmetric,
-    inertia_of,
     loewner_leq,
     norm2,
     norm_leq,
@@ -174,8 +174,8 @@ def schur_inertia(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None
     tol = resolve(tol)
     sol = minimal_completion(blk, tol)
     a22_sym = _corner(blk, a22, tol)
-    corner_floor = 1.0 + norm2(a22_sym) + norm2(sol.a22_min)
-    corner = inertia_of(symmetrize(a22_sym - sol.a22_min), tol, floor=corner_floor)
+    corner_floor = (lambda na, nm: 1.0 + na + nm, a22_sym, sol.a22_min)
+    corner = _inertia(symmetrize(a22_sym - sol.a22_min), tol, corner_floor)
     head = sol.spectrum.inertia
     return Inertia(
         n_plus=head.n_plus + corner.n_plus,

@@ -15,12 +15,12 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatch, HypothesisViolated, InvalidInput
 from .spectral import (
+    _inertia,
     as_matrix,
     as_symmetric,
     inertia_of,
     loewner_leq,
     negativity,
-    norm2,
     norm_leq,
     rank_of,
     spectral_decompose,
@@ -103,9 +103,9 @@ def inertia_balance(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = No
         raise DimensionMismatch(
             f"T has shape {t_arr.shape}, expected ({j2.dim}, {j1.dim})"
         )
-    floor = (1.0 + norm2(t_arr)) ** 2
-    left = inertia_of(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, floor=floor)
-    right = inertia_of(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, floor=floor)
+    floor = (lambda nt: (1.0 + nt) ** 2, t_arr)
+    left = _inertia(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, floor)
+    right = _inertia(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, floor)
     i1 = inertia_of(j1.j, tol)
     i2 = inertia_of(j2.j, tol)
     balanced = (
@@ -180,8 +180,8 @@ def schur_negativity_factor(
     tol = resolve(tol)
     a_sym, b_arr, spec = _operands(a, b, j2, tol)
     schur = symmetrize(a_sym - b_arr.T @ j2.j @ b_arr)
-    schur_floor = 1.0 + spec.norm + norm2(b_arr) ** 2
-    if spec.inertia.n_minus != negativity(schur, tol, floor=schur_floor) + j2.negativity(tol):
+    schur_floor = (lambda nb: 1.0 + spec.norm + nb ** 2, b_arr)
+    if spec.inertia.n_minus != _inertia(schur, tol, schur_floor).n_minus + j2.negativity(tol):
         return None
     k = spec.pinv_power(0.5) @ b_arr.T
     j_a = spec.sign()

@@ -38,17 +38,17 @@ from .errors import (
 from .factor import JSpace
 from .spectral import (
     SpectralDecomposition,
+    _decompose,
+    _inertia,
     as_matrix,
     intersect_subspaces,
     loewner_leq,
     moore_penrose_power,
-    negativity,
     norm2,
     norm_leq,
     orthonormal_columns,
     projector,
     rank_of,
-    spectral_decompose,
     subspaces_equal,
     symmetrize,
 )
@@ -155,8 +155,8 @@ def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) 
     tol = resolve(tol)
     t_arr = _shaped(t, (j2.dim, j1.dim), "T")
     scale = _defect_scale(t_arr)
-    spec1 = spectral_decompose(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, floor=scale)
-    spec2 = spectral_decompose(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, floor=scale)
+    spec1 = _decompose(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, scale)
+    spec2 = _decompose(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, scale)
     d_t = spec1.power(0.5)
     d_tstar = spec2.power(0.5)
     data = JContractionData(
@@ -182,9 +182,9 @@ def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) 
     return data
 
 
-def _defect_scale(t: np.ndarray) -> float:
-    """Natural scale of a defect form built from ``t`` and symmetries."""
-    return (1.0 + norm2(t)) ** 2
+def _defect_scale(t: np.ndarray):
+    """Natural scale ``(1 + |t|)^2`` of a defect form built from ``t``, as a certified floor."""
+    return (lambda nt: (1.0 + nt) ** 2, t)
 
 
 def verify_link_identities(d: JContractionData, tol: ToleranceProfile | None = None) -> bool:
@@ -254,9 +254,7 @@ def column_extend(d: JContractionData, k, j2prime: JSpace, tol: ToleranceProfile
     k_clean = _check_parameter(k_arr, j2prime.j, d.jt, d.spec_t, tol, "K")
     t_c = np.vstack([d.t, k_clean.T @ d.d_t])
     j2_ext = _block_diag(d.j2.j, j2prime.j)
-    achieved = negativity(
-        symmetrize(d.j1.j - t_c.T @ j2_ext @ t_c), tol, floor=_defect_scale(t_c)
-    )
+    achieved = _inertia(symmetrize(d.j1.j - t_c.T @ j2_ext @ t_c), tol, _defect_scale(t_c)).n_minus
     if achieved != target:
         raise ConsistencyError(
             f"column extension index {achieved} differs from target {target}"
@@ -311,9 +309,7 @@ def row_extend(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | 
     b_clean = _check_parameter(b_arr, j1prime.j, d.jtstar, d.spec_tstar, tol, "B")
     t_r = np.hstack([d.t, d.d_tstar @ b_clean])
     j1_ext = _block_diag(d.j1.j, j1prime.j)
-    achieved = negativity(
-        symmetrize(d.j2.j - t_r @ j1_ext @ t_r.T), tol, floor=_defect_scale(t_r)
-    )
+    achieved = _inertia(symmetrize(d.j2.j - t_r @ j1_ext @ t_r.T), tol, _defect_scale(t_r)).n_minus
     if achieved != target:
         raise ConsistencyError(
             f"row extension index {achieved} differs from target {target}"
@@ -344,16 +340,12 @@ def row_index_formula(d: JContractionData, b, j1prime: JSpace, tol: TolerancePro
     b_arr = _shaped(b, (d.dim2, j1prime.dim), "B")
     kernel_proj = np.eye(d.dim2) - d.spec_tstar.range_projector()
     b_clean = b_arr - kernel_proj @ b_arr
-    predicted = d.kappa1 + negativity(
-        symmetrize(j1prime.j - b_clean.T @ d.jtstar @ b_clean),
-        tol,
-        floor=_defect_scale(b_clean),
-    )
+    predicted = d.kappa1 + _inertia(
+        symmetrize(j1prime.j - b_clean.T @ d.jtstar @ b_clean), tol, _defect_scale(b_clean)
+    ).n_minus
     t_r = np.hstack([d.t, d.d_tstar @ b_clean])
     j1_ext = _block_diag(d.j1.j, j1prime.j)
-    direct = negativity(
-        symmetrize(j1_ext - t_r.T @ d.j2.j @ t_r), tol, floor=_defect_scale(t_r)
-    )
+    direct = _inertia(symmetrize(j1_ext - t_r.T @ d.j2.j @ t_r), tol, _defect_scale(t_r)).n_minus
     if predicted != direct:
         raise ConsistencyError(
             f"row index formula predicted {predicted} but direct count is {direct}"
@@ -379,8 +371,8 @@ def _parameter_defects(
     g1_gram = symmetrize(j1prime.j - p.gamma1.T @ d.jtstar @ p.gamma1)
     g2_gram = symmetrize(j2prime.j - p.gamma2 @ d.jt @ p.gamma2.T)
     return (
-        spectral_decompose(g1_gram, tol, floor=_defect_scale(p.gamma1)),
-        spectral_decompose(g2_gram, tol, floor=_defect_scale(p.gamma2)),
+        _decompose(g1_gram, tol, _defect_scale(p.gamma1)),
+        _decompose(g2_gram, tol, _defect_scale(p.gamma2)),
     )
 
 
@@ -393,8 +385,8 @@ def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol
     def counts(t_ext: np.ndarray) -> tuple[int, int]:
         floor = _defect_scale(t_ext)
         return (
-            negativity(symmetrize(j1_ext - t_ext.T @ j2_ext @ t_ext), tol, floor=floor),
-            negativity(symmetrize(j2_ext - t_ext @ j1_ext @ t_ext.T), tol, floor=floor),
+            _inertia(symmetrize(j1_ext - t_ext.T @ j2_ext @ t_ext), tol, floor).n_minus,
+            _inertia(symmetrize(j2_ext - t_ext @ j1_ext @ t_ext.T), tol, floor).n_minus,
         )
 
     return targets, counts

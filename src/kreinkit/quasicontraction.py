@@ -25,10 +25,13 @@ from .factor import JSpace
 from .lifting import defect_data, j_isometry_test
 from .spectral import (
     SpectralDecomposition,
+    _count,
+    _inertia,
+    _settle,
+    _solve,
     as_matrix,
     as_symmetric,
     loewner_leq,
-    negativity,
     norm2,
     norm_leq,
     spectral_decompose,
@@ -120,12 +123,17 @@ def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
     """Counts ``(nu_-(I + T), nu_-(I - T))`` for symmetric ``T``.
 
     Their sum equals ``nu_-(I - T^2)`` (spectral mapping); the integer
-    identity is asserted.  All three are read off one eigendecomposition of
-    ``T`` at the scale ``(1 + |T|)^2``.
+    identity is asserted.  All three are read off the eigenvalues of ``T``
+    at the scale ``(1 + |T|)^2``, off ``eigh`` when one lies near a threshold.
     """
-    spec = spectral_decompose(t, tol)
-    floor = (1.0 + spec.norm) ** 2
-    minus, plus, total = (spec.map(f, floor).inertia.n_minus for f in (_PLUS_T, _MINUS_T, _DEFECT))
+    tol = resolve(tol)
+    w = _solve(np.linalg.eigvalsh, as_symmetric(t, tol))
+    floor = (1.0 + float(np.max(np.abs(w), initial=0.0))) ** 2
+    counts = [_count(f(w), tol, floor, floor) for f in (_PLUS_T, _MINUS_T, _DEFECT)]
+    if None in counts:
+        spec = spectral_decompose(t, tol)
+        counts = [spec.map(f, (1.0 + spec.norm) ** 2).inertia for f in (_PLUS_T, _MINUS_T, _DEFECT)]
+    minus, plus, total = (c.n_minus for c in counts)
     if minus + plus != total:
         raise ConsistencyError(
             f"split counts {minus} + {plus} do not add up to nu_-(I - T^2) = {total}"
@@ -140,10 +148,11 @@ def _column_counts(col: SymmetricColumn, tol: ToleranceProfile):
     taken at the scale ``(1 + |T1|)^2`` of the whole column.
     """
     t1 = col.stacked()
-    floor = (1.0 + norm2(t1)) ** 2
+    floor = (lambda nt: (1.0 + nt) ** 2, t1)
     spec = spectral_decompose(col.t11, tol)
-    full = negativity(symmetrize(np.eye(col.dim1) - t1.T @ t1), tol, floor=floor)
-    return spec, spec.map(_DEFECT, floor).inertia.n_minus, full
+    full = _inertia(symmetrize(np.eye(col.dim1) - t1.T @ t1), tol, floor).n_minus
+    head = spec.map(_DEFECT, _settle(_DEFECT(spec.eigenvalues), tol, floor))
+    return spec, head.inertia.n_minus, full
 
 
 def solvable(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> bool:

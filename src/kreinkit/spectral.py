@@ -8,6 +8,9 @@ and a small kit of orthonormal-subspace helpers.
 
 Each decision ``norm2(R) <= bound(norm2(B), ...)`` goes through
 :func:`norm_leq`, which runs the SVDs only when Frobenius bounds straddle it.
+Counts read eigenvalues only (one ``eigvalsh``; ``eigh`` only near the
+threshold), and an internal floor ``(bound, *operands)`` such as
+``(1 + |T|)^2`` takes its SVDs only when its Frobenius bracket is too wide.
 
 A symmetric matrix is decomposed once; every spectral quantity is then
 read off the one :class:`SpectralDecomposition`::
@@ -131,8 +134,9 @@ class SpectralDecomposition:
         return Inertia(n_plus, n_minus, w.size - n_plus - n_minus, 0)
 
     def _compose(self, values: np.ndarray) -> np.ndarray:
+        # bit for bit v @ diag(values), whose other terms are exact zeros
         v = self.eigenvectors
-        return symmetrize(v @ np.diag(values) @ v.T)
+        return symmetrize((v * values) @ v.T)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -251,6 +255,20 @@ def _norm_bounds(a) -> tuple[float, float]:
     return fro / math.sqrt(k) * (1.0 - _GUARD), fro * (1.0 + _GUARD)
 
 
+def _bound_span(floor) -> tuple[float, float]:
+    """``lo <= floor <= hi``: a float is exact, ``(bound, *operands)`` is bracketed off :func:`_norm_bounds`."""
+    if not isinstance(floor, tuple):
+        return floor, floor
+    bound, *operands = floor
+    spans = [_norm_bounds(o) for o in operands]
+    return bound(*(s[0] for s in spans)), bound(*(s[1] for s in spans))
+
+
+def _exact_bound(bound, *operands) -> float:
+    """``bound(norm2(o1), ...)`` with the norms taken by SVD; floats are known norms."""
+    return bound(*(o if isinstance(o, float) else norm2(o) for o in operands))
+
+
 def norm_leq(r, bound, *operands) -> bool:
     """``norm2(r) <= bound(norm2(o1), ...)`` for ``bound`` nondecreasing in each norm.
 
@@ -258,13 +276,12 @@ def norm_leq(r, bound, *operands) -> bool:
     are the SVDs run, so the verdict is the direct one.  Floats are known norms.
     """
     lo, hi = _norm_bounds(r)
-    spans = [_norm_bounds(o) for o in operands]
-    if hi <= bound(*(s[0] for s in spans)):
+    bound_lo, bound_hi = _bound_span((bound, *operands))
+    if hi <= bound_lo:
         return True
-    if lo > bound(*(s[1] for s in spans)):
+    if lo > bound_hi:
         return False
-    exact = [o if isinstance(o, float) else norm2(o) for o in (r, *operands)]
-    return bool(exact[0] <= bound(*exact[1:]))
+    return bool((r if isinstance(r, float) else norm2(r)) <= _exact_bound(bound, *operands))
 
 
 def spectral_decompose(
@@ -276,23 +293,63 @@ def spectral_decompose(
     positive ``floor`` replaces the norm when the matrix itself is smaller.
     Raises :class:`EigenSolverError` if the solver fails to converge.
     """
-    tol = resolve(tol)
-    sym = as_symmetric(a, tol)
+    return _decompose(a, tol, floor)
+
+
+def _solve(solver, sym: np.ndarray):
     try:
-        w, v = np.linalg.eigh(sym)
+        return solver(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigenSolverError(str(exc)) from exc
-    return SpectralDecomposition(w, v, tol, floor)
+
+
+def _count(w: np.ndarray, tol: ToleranceProfile, lo: float, hi: float) -> Inertia | None:
+    """Inertia of eigenvalues ``w`` under every floor in ``[lo, hi]``; ``None`` when some ``|w|``
+    is within ``_GUARD * max(norm, lo)`` of a threshold, far above the ``p(n) eps |A|`` by which
+    ``eigvalsh`` and ``eigh`` differ (Golub & Van Loan, §8.1), so a count returned is ``eigh``'s."""
+    absw = np.abs(w)
+    norm = float(np.max(absw, initial=0.0))
+    thr, guard = tol.zero * w.size * max(norm, lo), _GUARD * max(norm, lo)
+    if np.any((absw >= thr - guard) & (absw <= tol.zero * w.size * max(norm, hi) + guard)):
+        return None
+    n_minus = int(np.count_nonzero(w < -thr))
+    n_plus = int(np.count_nonzero(w > thr))
+    return Inertia(n_plus, n_minus, w.size - n_plus - n_minus, 0)
+
+
+def _settle(w: np.ndarray, tol: ToleranceProfile, floor) -> float:
+    """A float floor giving every mask of ``w`` that ``floor`` gives; SVDs only if it must."""
+    if not isinstance(floor, tuple):
+        return floor
+    lo, hi = _bound_span(floor)
+    if lo > 0.0 and _count(w, tol, lo, hi) is not None:
+        return hi
+    return _exact_bound(*floor)
+
+
+def _decompose(a, tol: ToleranceProfile | None, floor) -> SpectralDecomposition:
+    """:func:`spectral_decompose` under a float or ``(bound, *operands)`` floor."""
+    tol = resolve(tol)
+    w, v = _solve(np.linalg.eigh, as_symmetric(a, tol))
+    return SpectralDecomposition(w, v, tol, _settle(w, tol, floor))
+
+
+def _inertia(a, tol: ToleranceProfile | None, floor) -> Inertia:
+    """:func:`inertia_of` under a float or ``(bound, *operands)`` floor, off one ``eigvalsh``."""
+    tol = resolve(tol)
+    sym = as_symmetric(a, tol)
+    got = _count(_solve(np.linalg.eigvalsh, sym), tol, *_bound_span(floor))
+    return got if got is not None else _decompose(sym, tol, floor).inertia
 
 
 def inertia_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> Inertia:
     """Inertia of a symmetric matrix (see :func:`spectral_decompose`)."""
-    return spectral_decompose(a, tol, floor).inertia
+    return _inertia(a, tol, floor)
 
 
 def negativity(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> int:
     """Number of negative eigenvalues (the negative index)."""
-    return spectral_decompose(a, tol, floor).inertia.n_minus
+    return _inertia(a, tol, floor).n_minus
 
 
 def signature_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> np.ndarray:

@@ -264,6 +264,16 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+def test_verify_all_repeats_in_one_process(capsys):
+    # nothing a pass computes may carry over to change the next one
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "--suite", "all", "--seed", "3", "--cases", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "checks=28 failures=0" in outputs[0]
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     doc = json.dumps({"rows": 1, "cols": 1, "data": [[4.0]]})

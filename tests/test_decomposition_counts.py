@@ -19,11 +19,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kreinkit import jsonio
+from kreinkit import gens, jsonio
 from kreinkit.cli import main
 from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion, schur_inertia
 from kreinkit.factor import JSpace
-from kreinkit.lifting import defect_data
+from kreinkit.lifting import defect_data, extract_lift_parameters, lift
 from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_member, split_counts
 from kreinkit.relations import (
     LinearRelation,
@@ -33,7 +33,7 @@ from kreinkit.relations import (
     relation_inertia,
     relation_leq,
 )
-from kreinkit.spectral import loewner_leq, symmetrize
+from kreinkit.spectral import inertia_of, loewner_leq, negativity, symmetrize
 
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
@@ -81,6 +81,12 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def decompositions(monkeypatch):
+    """Symmetric eigensolves of either kind: ``eigh`` and ``eigvalsh`` together."""
+    return _counting(monkeypatch, "eigh", _counting(monkeypatch, "eigvalsh"))
+
+
+@pytest.fixture
 def svd_calls(monkeypatch):
     return _counting(monkeypatch, "svd")
 
@@ -106,7 +112,7 @@ def _count(calls, fn, *args):
     return len(calls)
 
 
-def test_completion_decomposes_a11_once(eigh_calls):
+def test_completion_decomposes_a11_once(eigh_calls, decompositions):
     assert _count(eigh_calls, minimal_completion, block()) == 1
     corner = minimal_completion(block()).a22_min + np.eye(2)
     assert _count(eigh_calls, is_solution, block(), corner) == 1
@@ -114,7 +120,8 @@ def test_completion_decomposes_a11_once(eigh_calls):
     blk = block()
     minimal_completion(blk)
     assert _count(eigh_calls, is_solution, blk, corner) == 0
-    assert _count(eigh_calls, schur_inertia, blk, corner) == 1
+    # the corner's inertia is a count, off eigvalsh
+    assert _count(decompositions, schur_inertia, blk, corner) == 1
 
 
 def test_defect_data_decomposes_each_defect_form_once(eigh_calls):
@@ -122,14 +129,49 @@ def test_defect_data_decomposes_each_defect_form_once(eigh_calls):
     assert _count(eigh_calls, defect_data, T, j1, JSpace.identity(2)) == 2
 
 
-def test_split_counts_decomposes_t_once(eigh_calls):
+def test_split_counts_decomposes_t_once(decompositions):
     # I + T, I - T and I - T^2 are read off one spectrum of T
-    assert _count(eigh_calls, split_counts, T + T.T) == 1
+    assert _count(decompositions, split_counts, T + T.T) == 1
 
 
-def test_extremal_extensions_decomposes_the_head_defect_once(eigh_calls):
-    # T11, I - T1^T T1, and one split_counts per extreme
-    assert _count(eigh_calls, extremal_extensions, COLUMN) <= 4
+def test_extremal_extensions_decomposes_the_head_defect_once(eigh_calls, norm2_calls):
+    # only T11: I - T1^T T1 and the split counts of both extremes are counts,
+    # off eigvalsh, and the floor (1 + |T1|)^2 is bracketed from |T1|_F
+    assert _count(eigh_calls, extremal_extensions, COLUMN) == 1
+    assert _count(norm2_calls, extremal_extensions, COLUMN) == 0
+
+
+def test_counts_read_eigenvalues_only(eigh_calls):
+    a = np.diag([2.0, -1.0, 0.0])
+    assert _count(eigh_calls, negativity, a) == 0
+    assert _count(eigh_calls, inertia_of, a) == 0
+    assert _count(eigh_calls, split_counts, T + T.T) == 0
+
+
+def test_defect_floors_take_no_svd_norm(norm2_calls):
+    j1 = JSpace.from_matrix(np.diag([1.0, -1.0]))
+    assert _count(norm2_calls, defect_data, T, j1, JSpace.identity(2)) == 0
+    blk = block()
+    corner = minimal_completion(blk).a22_min + np.eye(2)
+    # the corner floor 1 + |a22| + |a22_min| of a block completed before
+    assert _count(norm2_calls, schur_inertia, blk, corner) == 0
+
+
+def test_lifting_indices_decompose_nothing_of_the_lifting_size(eigh_calls, norm2_calls):
+    rng = np.random.default_rng(4)
+    instance = None
+    while instance is None:
+        instance = gens.random_lift_instance(rng, 4, 3, 2, 1)
+    d, params, j1p, j2p = instance
+    lifted = lift(d, params, j1p, j2p)
+    assert lifted.shape == (4, 6)
+    for fn, args in ((lift, (d, params, j1p, j2p)), (extract_lift_parameters, (lifted, d, j1p, j2p))):
+        eigh_calls.clear()
+        norm2_calls.clear()
+        fn(*args)
+        # only the two parameter defect forms, 2 x 2 and 1 x 1, are decomposed
+        assert sorted(eigh_calls) == [(1, 1), (2, 2)]
+        assert lifted.shape not in norm2_calls
 
 
 def _write_documents(tmp_path, **docs):
@@ -141,13 +183,13 @@ def _write_documents(tmp_path, **docs):
     return paths
 
 
-def test_extremes_command_builds_the_pair_once(eigh_calls, tmp_path, capsys):
+def test_extremes_command_builds_the_pair_once(decompositions, tmp_path, capsys):
     paths = _write_documents(
         tmp_path, t11=jsonio.matrix_document(COLUMN.t11), t21=jsonio.matrix_document(COLUMN.t21)
     )
-    eigh_calls.clear()
+    decompositions.clear()
     assert main(["extremes", *paths]) == 0
-    assert len(eigh_calls) == 4
+    assert len(decompositions) == 4
     assert json.loads(capsys.readouterr().out)["unique"] is False
 
 

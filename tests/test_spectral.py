@@ -6,6 +6,8 @@ from kreinkit.errors import DimensionMismatch, InvalidInput
 from kreinkit.tolerances import ToleranceProfile
 from kreinkit.spectral import (
     Inertia,
+    _decompose,
+    _inertia,
     as_symmetric,
     inertia_of,
     intersect_subspaces,
@@ -267,3 +269,82 @@ def test_loewner_gate_agrees_with_the_direct_slack():
                     gap[0] = -edge * (1.0 + sign * delta)
                     b = symmetrize(a + q @ np.diag(gap) @ q.T)
                     assert loewner_leq(a, b, tol) == _head_loewner(a, b, tol)
+
+
+def _placed(rng, n, at):
+    """Symmetric ``n x n`` with spectral norm 1 (for ``n > 1``) and one eigenvalue at ``at``."""
+    w = rng.uniform(-1.0, 1.0, n)
+    w[-1] = 1.0
+    w[0] = at
+    q = gens.random_orthogonal(rng, n)
+    return symmetrize(q @ np.diag(w) @ q.T)
+
+
+def _near(rng, edge):
+    """``+-edge`` moved by each relative ``delta`` in ``DELTAS``, then zero."""
+    for delta in DELTAS:
+        for sign in (-1.0, 1.0):
+            yield sign * edge * (1.0 + rng.choice((-1.0, 1.0)) * delta)
+    yield 0.0
+
+
+def test_count_kernel_agrees_with_the_decomposition():
+    rng = np.random.default_rng(21)
+    # a profile's zero must be positive; the smallest one puts every
+    # threshold below any nonzero eigenvalue here, so only the guard is left
+    for tol in (ToleranceProfile(), ToleranceProfile(zero=5e-324)):
+        cases = [(np.zeros((n, n)), floor) for n in (0, 1, 3) for floor in (0.0, 1.0)]
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            floor = float(rng.choice((0.0, 0.5, 3.0)))
+            cases += [(_placed(rng, n, at), floor) for at in _near(rng, tol.zero * n * max(1.0, floor))]
+        for a, floor in cases:
+            expected = spectral_decompose(a, tol, floor).inertia
+            assert inertia_of(a, tol, floor) == _inertia(a, tol, floor) == expected
+
+
+def _squared(nb):
+    return (1.0 + nb) ** 2
+
+
+def test_certified_floors_agree_with_the_exact_floor(monkeypatch):
+    rng = np.random.default_rng(22)
+    tol = ToleranceProfile()
+    svds = []
+    original = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        svds.append(ord == 2)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        b = rng.standard_normal((n, int(rng.integers(1, 5))))
+        exact = _squared(norm2(b))
+        for at in _near(rng, tol.zero * n * exact):
+            a = _placed(rng, n, at)
+            assert _inertia(a, tol, (_squared, b)) == spectral_decompose(a, tol, exact).inertia
+            certified, direct = _decompose(a, tol, (_squared, b)), spectral_decompose(a, tol, exact)
+            assert certified.inertia == direct.inertia
+            for read in (lambda s: s.power(0.5), lambda s: s.pinv_power(0.5), lambda s: s.sign(),
+                         lambda s: s.pinv(), lambda s: np.hstack(s.bases())):
+                assert np.array_equal(read(certified), read(direct))
+    # a floor whose Frobenius bracket [(1 + 6^1/2 / 3^1/2)^2, (1 + 6^1/2)^2]
+    # holds an eigenvalue's threshold is taken by SVD; away from it, not
+    b = np.diag([2.0, 1.0, 1.0])
+    for n in range(2, 7):
+        for at, svd in ((tol.zero * n * 9.0 * 1.001, True), (0.0, False)):
+            svds.clear()
+            a = _placed(rng, n, at)
+            assert _inertia(a, tol, (_squared, b)) == spectral_decompose(a, tol, 9.0).inertia
+            assert any(svds) == svd
+
+
+def test_compose_scales_columns_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in (0, 1, 2, 5, 17, 60):
+        spec = spectral_decompose(gens.random_symmetric(rng, n))
+        v = spec.eigenvectors
+        for values in (spec.eigenvalues, rng.standard_normal(n), np.abs(spec.eigenvalues) ** 0.5):
+            assert np.array_equal(spec._compose(values), symmetrize(v @ np.diag(values) @ v.T))
