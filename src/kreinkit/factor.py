@@ -41,13 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JSpace:
-    """A space of dimension ``dim`` carrying a symmetry ``j = j^T = j^{-1}``."""
+    """A space of dimension ``dim`` carrying a symmetry ``j = j^T = j^{-1}`` (a read-only copy)."""
 
     dim: int
     j: np.ndarray
 
     def __post_init__(self):
-        j = as_symmetric(self.j)
+        j = np.array(as_symmetric(self.j))
+        j.flags.writeable = False
         object.__setattr__(self, "j", j)
         if j.shape[0] != self.dim:
             raise DimensionMismatch(f"symmetry has dim {j.shape[0]}, expected {self.dim}")

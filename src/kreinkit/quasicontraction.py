@@ -53,14 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymmetricColumn:
-    """Column data ``t11`` (symmetric head) and ``t21`` (coupling block)."""
+    """Column data ``t11`` (symmetric head) and ``t21`` (coupling block), as read-only copies."""
 
     t11: np.ndarray
     t21: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t11", as_symmetric(self.t11))
-        object.__setattr__(self, "t21", as_matrix(self.t21))
+        for name, arr in (("t11", as_symmetric(self.t11)), ("t21", as_matrix(self.t21))):
+            arr = np.array(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.t21.shape[1] != self.t11.shape[0]:
             raise DimensionMismatch(
                 f"t21 has {self.t21.shape[1]} columns but t11 has dim {self.t11.shape[0]}"

@@ -656,7 +656,10 @@ def _assert_translation_identities(rel, problem: ExtensionProblem, tol: Toleranc
         raise ConsistencyError("the resolvent-compressed operator is not symmetric")
     a_hat = symmetrize(a_hat_raw)
     rng = np.random.default_rng(0)
-    scale = (1.0 + norm2(t1)) ** 2 + norm2(a_hat)
+
+    def holds(gap: float, weight: float) -> bool:
+        return norm_leq(gap, lambda nt, na: tol.zero * ((1.0 + nt) ** 2 + na) * weight, t1, a_hat)
+
     for _ in range(4):
         g = u1 @ rng.standard_normal(d)
         lhs_form = float(g @ g - (t1 @ g) @ (t1 @ g))
@@ -664,11 +667,11 @@ def _assert_translation_identities(rel, problem: ExtensionProblem, tol: Toleranc
         f_part = rel.first @ coeffs
         fp_part = p_op @ (rel.second @ coeffs)
         rhs_form = 4.0 * float(fp_part @ f_part)
-        if abs(lhs_form - rhs_form) > tol.zero * scale * (1.0 + g @ g):
+        if not holds(abs(lhs_form - rhs_form), 1.0 + g @ g):
             raise ConsistencyError("quadratic translation identity failed")
         if u2.shape[1]:
             phi = u2 @ rng.standard_normal(u2.shape[1])
             lhs_pair = float((t1 @ g) @ phi)
             rhs_pair = 2.0 * float((res @ g) @ phi)
-            if abs(lhs_pair - rhs_pair) > tol.zero * scale * (1.0 + g @ g + phi @ phi):
+            if not holds(abs(lhs_pair - rhs_pair), 1.0 + g @ g + phi @ phi):
                 raise ConsistencyError("pairing translation identity failed")

@@ -11,6 +11,8 @@ Each decision ``norm2(R) <= bound(norm2(B), ...)`` goes through
 Counts read eigenvalues only (one ``eigvalsh``; ``eigh`` only near the
 threshold), and an internal floor ``(bound, *operands)`` such as
 ``(1 + |T|)^2`` takes its SVDs only when its Frobenius bracket is too wide.
+An order test ``A <= B`` is settled by Cholesky factorizations of ``B - A``
+shifted to either end of its slack; ``eigvalsh`` runs only near the slack.
 
 A symmetric matrix is decomposed once; every spectral quantity is then
 read off the one :class:`SpectralDecomposition`::
@@ -205,14 +207,16 @@ def as_symmetric(a, tol: ToleranceProfile | None = None) -> np.ndarray:
 
     The asymmetry ``max|A - A^T|`` must not exceed
     ``residual * (1 + max|A|)``; larger defects are rejected rather than
-    silently averaged away.
+    silently averaged away.  An exactly symmetric float array is returned as
+    it is, not copied (averaging would change only the sign of an off-diagonal
+    pair of zeros whose signs differ): never write to the result.
     """
     tol = resolve(tol)
     arr = as_matrix(a)
     n, m = arr.shape
     if n != m:
         raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
-    if n == 0:
+    if np.array_equal(arr, arr.T):
         return arr
     gap = float(np.max(np.abs(arr - arr.T)))
     scale = 1.0 + float(np.max(np.abs(arr)))
@@ -402,20 +406,60 @@ def range_factor(m, b, tol: ToleranceProfile | None = None) -> np.ndarray | None
 def loewner_leq(a, b, tol: ToleranceProfile | None = None) -> bool:
     """Loewner order test ``A <= B`` with relative slack.
 
-    True iff the minimal eigenvalue of ``B - A`` is at least
-    ``-psd * (1 + |A| + |B|)``; that slack is at least ``psd``, so the norms
-    (certified by :func:`norm_leq`) are needed only below ``-psd``.
+    True iff ``eigvalsh`` puts the minimal eigenvalue of ``B - A`` at least at
+    ``-psd * (1 + |A| + |B|)``.  Cholesky factorizations of ``B - A`` shifted
+    just inside and just outside that slack settle it; only between them does
+    ``eigvalsh`` run, with the norms (by :func:`norm_leq`) only below ``-psd``.
     """
     tol = resolve(tol)
     a_sym = as_symmetric(a, tol)
     b_sym = as_symmetric(b, tol)
     if a_sym.shape != b_sym.shape:
         raise DimensionMismatch(f"shapes {a_sym.shape} and {b_sym.shape} differ")
-    if a_sym.shape[0] == 0:
+    gap = symmetrize(b_sym - a_sym)
+    slack = (lambda na, nb: tol.psd * (1.0 + na + nb), a_sym, b_sym)
+    verdict = _order_by_cholesky(gap, slack)
+    if verdict is not None:
+        return verdict
+    lowest = float(np.linalg.eigvalsh(gap)[0])
+    return lowest >= -tol.psd or norm_leq(-lowest, *slack)
+
+
+def _order_by_cholesky(d: np.ndarray, slack) -> bool | None:
+    """``eigvalsh(d)[0] >= -s`` for a slack ``s = (bound, *operands)``; ``None`` near ``-s``.
+
+    With ``s`` in ``[lo, hi]``, ``F = |d|_F`` and ``u`` the unit roundoff: a
+    completed Cholesky factor of ``S = d + c I`` has ``R^T R = S + E``,
+    ``|E| <~ n (n + 1) u |S|``; Cholesky is sure to complete once
+    ``lambda_min(S) >~ n (n + 1) u max S_ii`` (Demmel's condition; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, §10.1); ``eigvalsh``
+    is off by ``p(n) u |d|`` and forming ``S`` by ``u (F + |c|)``.  The guard
+    ``g(x) = (_GUARD + 2 n (n + 1) u) (F + x)`` dominates them all, so factoring
+    at ``c = lo - g(lo)`` proves ``eigvalsh(d)[0] >= -lo >= -s``, and failing at
+    ``c = hi + g(hi)`` proves it ``< -hi <= -s``.
+    """
+    lo, hi = _bound_span(slack)
+    fro = _norm_bounds(d)[1]
+    if not math.isfinite(hi + fro):
+        return None
+    n = d.shape[0]
+    rate = _GUARD + n * (n + 1) * 2.0 ** -52  # u = 2^-53
+    if _factors(d, lo - rate * (fro + lo)):
         return True
-    lowest = float(np.linalg.eigvalsh(symmetrize(b_sym - a_sym))[0])
-    return lowest >= -tol.psd or norm_leq(
-        -lowest, lambda na, nb: tol.psd * (1.0 + na + nb), a_sym, b_sym)
+    if not _factors(d, hi + rate * (fro + hi)):
+        return False
+    return None
+
+
+def _factors(d: np.ndarray, shift: float) -> bool:
+    """Whether the Cholesky factorization of ``d + shift I`` completes."""
+    s = d.copy()
+    s.flat[:: d.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from kreinkit.relations import (
     LinearRelation,
     ext_membership,
     friedrichs_krein,
+    krein_uniqueness_relation,
     operator_part,
     relation_inertia,
     relation_leq,
@@ -81,9 +82,19 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return _counting(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
 def decompositions(monkeypatch):
     """Symmetric eigensolves of either kind: ``eigh`` and ``eigvalsh`` together."""
     return _counting(monkeypatch, "eigh", _counting(monkeypatch, "eigvalsh"))
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    return _counting(monkeypatch, "cholesky")
 
 
 @pytest.fixture
@@ -246,19 +257,41 @@ def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, s
     assert len(svd_calls) <= 2
 
 
-def test_relation_order_builds_each_operator_part_once(monkeypatch):
-    # eigh for the operator parts, eigvalsh for the Loewner tests
-    decompositions = _counting(monkeypatch, "eigh", _counting(monkeypatch, "eigvalsh"))
+def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_calls):
+    # eigh for the operator parts; each Loewner test is one Cholesky
     h1 = LinearRelation.from_operator(np.diag([1.0, 2.0]))
     h2 = LinearRelation.from_operator(np.diag([1.5, 3.0]))
     h1._memo, h2._memo = StoreCounter(), StoreCounter()
-    # the two classifications, one operator-part spectrum per relation and
-    # the two Loewner tests
-    assert _count(decompositions, relation_leq, h1, h2) == 6
+    # the two classifications and one operator-part spectrum per relation
+    assert _count(decompositions, relation_leq, h1, h2) == 4
+    assert len(cholesky_calls) == 2
     assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
     # asked again, only the Loewner tests of the resolvents run
-    assert _count(decompositions, relation_leq, h1, h2) == 2
+    cholesky_calls.clear()
+    assert _count(decompositions, relation_leq, h1, h2) == 0
+    assert len(cholesky_calls) == 2
     assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
+
+
+def test_queries_on_kept_instances_take_no_eigvalsh(eigvalsh_calls):
+    # an order test clear of its slack is settled by Cholesky
+    blk = block()
+    a22_min = minimal_completion(blk).a22_min
+    for corner in (a22_min, a22_min + np.eye(2), a22_min - np.eye(2)):
+        assert _count(eigvalsh_calls, is_solution, blk, corner) == 0
+    pair = extremal_extensions(COLUMN)
+    outside = pair.t_max.copy()
+    outside[2:, 2:] += 0.4
+    for t in (pair.t_min, (pair.t_min + pair.t_max) / 2.0, pair.t_max, outside):
+        assert _count(eigvalsh_calls, is_member, pair, t) == 0
+
+
+def test_membership_takes_only_the_candidates_classification_eigvalsh(eigvalsh_calls):
+    # the two order tests of the Cayley transforms take none
+    rel = relation()
+    for ext in friedrichs_krein(rel):
+        candidate = LinearRelation(ext.space_dim, ext.basis)
+        assert _count(eigvalsh_calls, ext_membership, rel, candidate) == 1
 
 
 def test_order_test_on_a_nonnegative_gap_takes_no_norm(norm2_calls):
@@ -284,6 +317,13 @@ def test_queries_on_kept_instances_take_no_svd_norm(norm2_calls):
     for ext in friedrichs_krein(rel):
         candidate = LinearRelation(ext.space_dim, ext.basis)
         assert _count(norm2_calls, ext_membership, rel, candidate) == 0
+
+
+def test_uniqueness_identities_take_no_svd_norm(norm2_calls):
+    # the translation identities' scale (1 + |t1|)^2 + |a_hat| is bracketed
+    rel = relation()
+    friedrichs_krein(rel)
+    assert _count(norm2_calls, krein_uniqueness_relation, rel) == 0
 
 
 def test_member_triple_decomposes_each_operator_part_once(monkeypatch):

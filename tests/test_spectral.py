@@ -1,9 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 from kreinkit import gens
+from kreinkit.cli import main
+from kreinkit.completion import IncompleteBlock, is_solution
 from kreinkit.errors import DimensionMismatch, InvalidInput
-from kreinkit.tolerances import ToleranceProfile
+from kreinkit.factor import JSpace, bicontraction_classify, douglas_factor, schur_negativity_factor
+from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_member, split_counts
+from kreinkit.relations import antitonicity_check
+from kreinkit.tolerances import ToleranceProfile, resolve
 from kreinkit.spectral import (
     Inertia,
     _decompose,
@@ -14,6 +21,7 @@ from kreinkit.spectral import (
     loewner_leq,
     modulus_power,
     moore_penrose_power,
+    negativity,
     norm2,
     norm_leq,
     orthonormal_columns,
@@ -55,6 +63,99 @@ def test_asymmetric_input_rejected():
         as_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidInput):
         as_symmetric(np.array([[np.nan]]))
+
+
+# one input of each kind that a symmetric-matrix argument must refuse
+INVALID_SYMMETRIC = {
+    "asymmetric": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "non-finite": np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    "non-square": np.ones((2, 3)),
+    "non-2-D": np.ones((2, 2, 1)),
+}
+
+
+def test_exactly_symmetric_input_is_taken_as_it_is():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 2, 7):
+        a = symmetrize(rng.standard_normal((n, n)))
+        assert as_symmetric(a) is a
+        assert np.array_equal(as_symmetric(a), (a + a.T) / 2.0)
+        if n > 1:
+            # an asymmetry within tolerance is still averaged, into a new array
+            near = a.copy()
+            near[0, 1] += 1e-12
+            assert np.array_equal(as_symmetric(near), (near + near.T) / 2.0)
+            assert near[0, 1] != near[1, 0]
+    assert np.array_equal(as_symmetric([[1, 2], [2, 1]]), [[1.0, 2.0], [2.0, 1.0]])
+    for bad in INVALID_SYMMETRIC.values():
+        with pytest.raises(InvalidInput):
+            as_symmetric(bad)
+
+
+# each public entry point taking a symmetric 2 x 2 matrix m
+ENTRY_POINTS = {
+    "inertia_of": inertia_of,
+    "negativity": negativity,
+    "spectral_decompose": spectral_decompose,
+    "loewner_leq(m, I)": lambda m: loewner_leq(m, np.eye(2)),
+    "loewner_leq(I, m)": lambda m: loewner_leq(np.eye(2), m),
+    "split_counts": split_counts,
+    "is_member": lambda m: is_member(extremal_extensions(SymmetricColumn([[0.5]], [[0.3]])), m),
+    "is_solution": lambda m: is_solution(IncompleteBlock([[2.0]], [[1.0, 0.5]]), m),
+    "JSpace": lambda m: JSpace(2, m),
+    "SymmetricColumn": lambda m: SymmetricColumn(m, np.zeros((1, 2))),
+    "IncompleteBlock": lambda m: IncompleteBlock(m, np.zeros((2, 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_SYMMETRIC))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_symmetric_arguments_are_validated_at_every_entry_point(entry, kind):
+    with pytest.raises(InvalidInput):
+        ENTRY_POINTS[entry](INVALID_SYMMETRIC[kind])
+
+
+def test_instances_keep_read_only_copies():
+    j, t11, t21 = np.diag([1.0, -1.0]), np.diag([0.5, 0.2]), np.array([[0.3, 0.0]])
+    a11, a12 = np.diag([2.0, -1.0]), np.array([[1.0], [0.5]])
+    space, column, blk = JSpace(2, j), SymmetricColumn(t11, t21), IncompleteBlock(a11, a12)
+    kept = {"j": space.j, "t11": column.t11, "t21": column.t21, "a11": blk.a11}
+    before = {name: arr.copy() for name, arr in kept.items()}
+    for caller in (j, t11, t21, a11):
+        caller[0, 0] = 7.0
+    for name, arr in kept.items():
+        assert np.array_equal(arr, before[name])
+        with pytest.raises(ValueError):
+            arr[0, 0] = 3.0
+
+
+def test_no_entry_point_writes_into_its_symmetric_arguments():
+    # an exactly symmetric argument reaches the library as it is, so a
+    # read-only one raises on any write
+    def frozen(m):
+        m = np.array(m, dtype=float)
+        m.flags.writeable = False
+        return m
+
+    a, j2 = frozen(np.diag([2.0, -1.0])), JSpace(1, frozen([[-1.0]]))
+    b = frozen([[1.0, 0.5]])
+    pair = extremal_extensions(SymmetricColumn(frozen(np.diag([0.5])), frozen([[0.3]])))
+    blk = IncompleteBlock(frozen(np.diag([2.0])), frozen([[1.0, 0.5]]))
+    h1, h2 = frozen(np.diag([1.0, 2.0])), frozen(np.diag([1.5, 3.0]))
+    for call in (
+        lambda: loewner_leq(a, h1),
+        lambda: inertia_of(a),
+        lambda: spectral_decompose(a).sign(),
+        lambda: split_counts(frozen(np.diag([0.5, 2.0]))),
+        lambda: range_factor(h1, frozen(np.eye(2))),
+        lambda: is_member(pair, frozen((pair.t_min + pair.t_max) / 2.0)),
+        lambda: is_solution(blk, frozen(np.eye(2))),
+        lambda: schur_negativity_factor(a, b, j2),
+        lambda: bicontraction_classify(a, b, j2),
+        lambda: douglas_factor(a, frozen([[1.0, 0.0]]), j2, "inequality"),
+        lambda: antitonicity_check(h1, h2, "matrix"),
+    ):
+        call()
 
 
 def test_inertia_examples():
@@ -252,23 +353,69 @@ def _head_loewner(a, b, tol):
     return bool(lowest >= -tol.psd * (1.0 + norm2(a) + norm2(b)))
 
 
-def test_loewner_gate_agrees_with_the_direct_slack():
+PSD_PROFILES = (ToleranceProfile(), ToleranceProfile(psd=1e-14), ToleranceProfile(psd=1e-3))
+
+
+def test_loewner_gate_agrees_with_the_direct_slack(monkeypatch):
     rng = np.random.default_rng(9)
-    tol = ToleranceProfile()
-    for _ in range(60):
-        n = int(rng.integers(1, 6))
-        a = gens.random_symmetric(rng, n) * 10.0 ** rng.uniform(-2, 4)
+    fallbacks = []
+    original = np.linalg.eigvalsh
+
+    def counting(x, *args, **kwargs):
+        fallbacks.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for n in [int(n) for n in rng.integers(1, 6, 30)] + [30, 60, 100, 250]:
+        # A = Q diag(alpha) Q^T and B - A = Q diag(gap) Q^T, the gap within a
+        # factor 100 of A so that B - A carries its placed eigenvalue exactly
+        scale = 10.0 ** rng.uniform(-2, 4)
         q = gens.random_orthogonal(rng, n)
-        gap = rng.uniform(0.0, 1.0, n)
-        slack = tol.psd * (1.0 + norm2(a) + norm2(a + q @ np.diag(gap) @ q.T))
-        # the lowest eigenvalue of B - A just inside and just outside -psd
-        # (where the norms start to matter) and the full slack
-        for edge in (tol.psd, slack):
+        alpha = rng.uniform(-1.0, 1.0, n) * scale
+        gap = rng.uniform(0.0, 1.0, n) * scale * 10.0 ** rng.uniform(-2, 1)
+        a = symmetrize(q @ np.diag(alpha) @ q.T)
+        for tol in PSD_PROFILES:
             for delta in DELTAS:
                 for sign in (-1.0, 1.0):
-                    gap[0] = -edge * (1.0 + sign * delta)
-                    b = symmetrize(a + q @ np.diag(gap) @ q.T)
-                    assert loewner_leq(a, b, tol) == _head_loewner(a, b, tol)
+                    # the pair's own slack psd (1 + |A| + |B|) moves with the
+                    # placed eigenvalue through |B|: iterate to its fixed point
+                    at_slack = 0.0
+                    for _ in range(20):
+                        gap[0] = at_slack
+                        slack = tol.psd * (1.0 + np.max(np.abs(alpha)) + np.max(np.abs(alpha + gap)))
+                        at_slack = -slack * (1.0 + sign * delta)
+                    # the lowest eigenvalue of B - A just inside and just outside
+                    # -psd (where the norms start to matter), the full slack and zero
+                    for at in (-tol.psd * (1.0 + sign * delta), at_slack, sign * delta):
+                        gap[0] = at
+                        b = symmetrize(q @ np.diag(alpha + gap) @ q.T)
+                        fallbacks.clear()
+                        verdict = loewner_leq(a, b, tol)
+                        # within 1e-14 of the slack only eigvalsh can decide (for
+                        # n = 1 rounding in B - A moves the eigenvalue further)
+                        if at == at_slack and delta == DELTAS[0] and n > 1:
+                            assert len(fallbacks) == 1
+                        assert verdict == _head_loewner(a, b, tol)
+
+
+def test_order_verdicts_of_verify_are_the_eigvalsh_verdicts(monkeypatch, capsys):
+    original = loewner_leq
+    recorded = []
+
+    def recording(a, b, tol=None):
+        verdict = original(a, b, tol)
+        recorded.append((np.array(a, dtype=float), np.array(b, dtype=float), resolve(tol), verdict))
+        return verdict
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kreinkit") and getattr(module, "loewner_leq", None) is original:
+            monkeypatch.setattr(module, "loewner_leq", recording)
+    for seed in range(3):
+        assert main(["verify", "--suite", "all", "--seed", str(seed), "--cases", "5"]) == 0
+    capsys.readouterr()
+    assert {verdict for *_, verdict in recorded} == {True, False}
+    for a, b, tol, verdict in recorded:
+        assert verdict == _head_loewner(as_symmetric(a, tol), as_symmetric(b, tol), tol)
 
 
 def _placed(rng, n, at):
