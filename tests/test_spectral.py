@@ -251,6 +251,7 @@ def test_loewner_examples():
     assert loewner_leq(np.zeros((2, 2)), np.eye(2))
     assert loewner_leq(np.diag([1.0, -1.0]), np.diag([2.0, -0.5]))
     assert not loewner_leq(np.eye(2), np.zeros((2, 2)))
+    assert loewner_leq(np.zeros((0, 0)), np.zeros((0, 0)))
     with pytest.raises(DimensionMismatch):
         loewner_leq(np.eye(2), np.eye(3))
 
@@ -356,7 +357,44 @@ def _head_loewner(a, b, tol):
 PSD_PROFILES = (ToleranceProfile(), ToleranceProfile(psd=1e-14), ToleranceProfile(psd=1e-3))
 
 
-def test_loewner_gate_agrees_with_the_direct_slack(monkeypatch):
+def test_loewner_gate_agrees_with_the_direct_slack():
+    rng = np.random.default_rng(9)
+    tol = ToleranceProfile()
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        a = gens.random_symmetric(rng, n) * 10.0 ** rng.uniform(-2, 4)
+        q = gens.random_orthogonal(rng, n)
+        gap = rng.uniform(0.0, 1.0, n)
+        slack = tol.psd * (1.0 + norm2(a) + norm2(a + q @ np.diag(gap) @ q.T))
+        # the lowest eigenvalue of B - A just inside and just outside -psd
+        # (where the norms start to matter) and the full slack
+        for edge in (tol.psd, slack):
+            for delta in DELTAS:
+                for sign in (-1.0, 1.0):
+                    gap[0] = -edge * (1.0 + sign * delta)
+                    b = symmetrize(a + q @ np.diag(gap) @ q.T)
+                    assert loewner_leq(a, b, tol) == _head_loewner(a, b, tol)
+
+
+def test_loewner_gate_agrees_on_generic_pairs_at_desk_scale_and_every_profile():
+    rng = np.random.default_rng(19)
+    for n in (30, 60, 100, 250):
+        a = gens.random_symmetric(rng, n) * 10.0 ** rng.uniform(-2, 4)
+        q = gens.random_orthogonal(rng, n)
+        gap = rng.uniform(0.0, 1.0, n)
+        for tol in PSD_PROFILES:
+            slack = tol.psd * (1.0 + norm2(a) + norm2(a + q @ np.diag(gap) @ q.T))
+            for delta in DELTAS:
+                for sign in (-1.0, 1.0):
+                    # just inside and just outside -psd and the full slack, and
+                    # near zero
+                    for at in (-tol.psd * (1.0 + sign * delta), -slack * (1.0 + sign * delta), sign * delta):
+                        gap[0] = at
+                        b = symmetrize(a + q @ np.diag(gap) @ q.T)
+                        assert loewner_leq(a, b, tol) == _head_loewner(a, b, tol)
+
+
+def test_loewner_gate_falls_back_only_at_the_slack_of_commuting_pairs(monkeypatch):
     rng = np.random.default_rng(9)
     fallbacks = []
     original = np.linalg.eigvalsh
