@@ -2,10 +2,10 @@
 
 Indefinite objects cannot be produced by naive scaling (a small operator is
 never a J-contraction when the source symmetry is indefinite), so the
-generators work in signed eigenbases: positive parts are shrunk, negative
-parts are stretched, and the result is twisted by random J-unitaries.
-Strictness margins keep every eigenvalue count safely away from the zero
-threshold.
+generators work in signed eigenbases, read off the spectra they built or hold:
+positive parts are shrunk, negative parts are stretched, and the result is
+twisted by random J-unitary Cayley transforms.  Strictness margins keep
+every eigenvalue count safely away from the zero threshold.
 """
 
 from __future__ import annotations
@@ -92,16 +92,18 @@ def random_contraction(rng: np.random.Generator, m: int, n: int, max_norm: float
 
 
 def random_j_unitary(rng: np.random.Generator, j: np.ndarray, magnitude: float = 0.7) -> np.ndarray:
-    """J-unitary twist ``exp(J W)`` with ``W`` skew-symmetric."""
-    # imported here so that the CLI starts without loading scipy
-    from scipy.linalg import expm
+    """J-unitary twist, the Cayley transform ``(I - X)^{-1} (I + X)`` of a J-skew ``X``.
 
+    ``X = J (G - G^T) / 2`` gives ``U^T J U = J`` (Azizov & Iokhvidov, 1989).  ``I - X`` can
+    be near singular, so ``X`` is scaled to ``|X|_F <= 1/2``; then ``cond(U) <= 9``.
+    """
     n = j.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     g = rng.standard_normal((n, n)) * magnitude / max(n, 1)
-    w = g - g.T
-    return expm(j @ w)
+    x = 0.5 * j @ (g - g.T)
+    x *= 0.5 / max(np.linalg.norm(x), 0.5)
+    return np.linalg.solve(np.eye(n) - x, np.eye(n) + x)
 
 
 def _orthonormal_embed(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -251,12 +253,12 @@ def random_quasicontraction_column(
 ):
     """Solvable symmetric column; ``unique`` forces a J-isometric factor.
 
-    ``exact_unit`` pins that many head eigenvalues to exactly ``-1``; the
-    coupling vanishes there, which creates multivalued directions after the
-    inverse Cayley transform.
+    ``I - T11^2`` has the drawn eigenbasis and the eigenvalues ``(1 - mu)(1 + mu)``,
+    so its signed bases and square root are read off them.  ``exact_unit`` pins that
+    many head eigenvalues to exactly ``-1``; the coupling vanishes there to roundoff,
+    which creates multivalued directions after the inverse Cayley transform.
     """
     from .quasicontraction import SymmetricColumn
-    from .spectral import modulus_power
 
     if exact_unit > n1:
         raise ValueError("cannot pin more unit eigenvalues than the dimension")
@@ -271,13 +273,12 @@ def random_quasicontraction_column(
     mu = _head_eigenvalues(rng, n1, inside, outside, exact_unit)
     q = random_orthogonal(rng, n1)
     t11 = symmetrize(q @ np.diag(mu) @ q.T)
-    defect_sq = symmetrize(np.eye(n1) - t11 @ t11)
-    plus, minus, _ = signed_eigenbases(defect_sq)
+    defect = (1.0 - mu) * (1.0 + mu)
     v_t = random_j_contraction_into(
-        rng, np.eye(n2), plus, minus, isometric=unique
+        rng, np.eye(n2), q[:, defect > 0.0], q[:, defect < 0.0], isometric=unique
     )
     v = v_t.T
-    d = modulus_power(defect_sq, 0.5)
+    d = symmetrize((q * np.sqrt(np.abs(defect))) @ q.T)
     return SymmetricColumn(t11, v @ d)
 
 
@@ -361,11 +362,8 @@ def random_lift_instance(
     j1p = JSpace.from_matrix(
         random_symmetry(rng, n1p, int(rng.integers(0, min(data.kappa2, n1p) + 1)))
     )
-    scale = (1.0 + norm2(t)) ** 2
-    m1 = symmetrize(j1.j - t.T @ j2.j @ t)
-    m2 = symmetrize(j2.j - t @ j1.j @ t.T)
-    plus2, minus2, _ = signed_eigenbases(m2, floor=scale)
-    plus1, minus1, _ = signed_eigenbases(m1, floor=scale)
+    plus1, minus1, _ = data.spec_t.bases()
+    plus2, minus2, _ = data.spec_tstar.bases()
     try:
         gamma1 = random_j_contraction_into(rng, j1p.j, plus2, minus2)
         gamma2 = random_j_contraction_into(rng, j2p.j, plus1, minus1).T

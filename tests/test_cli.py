@@ -43,6 +43,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_every_module_and_verify_run_where_scipy_cannot_be_imported():
+    src = str(Path(kreinkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import kreinkit\n"
+        "for mod in pkgutil.iter_modules(kreinkit.__path__):\n"
+        "    if mod.name != '__main__':\n"
+        "        importlib.import_module('kreinkit.' + mod.name)\n"
+        "from kreinkit import cli\n"
+        "sys.exit(cli.main(['verify', '--suite', 'all', '--seed', '0', '--cases', '3']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].startswith("SUMMARY ")
+    assert " failures=0 " in out.stdout.splitlines()[-1]
+
+
 def test_matrix_roundtrip():
     rng = np.random.default_rng(60)
     m = rng.standard_normal((4, 3))

@@ -66,6 +66,25 @@ def test_defect_data_zero_operator():
     assert np.allclose(d.l_t, np.zeros((1, 1)))
 
 
+def test_defect_spectra_give_the_bases_of_direct_decompositions():
+    # random_lift_instance reads its signed bases off defect_data's spectra;
+    # they are those of the defect forms decomposed under (1 + |T|)^2
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n1, n2 = (int(k) for k in rng.integers(1, 7, size=2))
+        j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
+        j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
+        t = rng.standard_normal((n2, n1)) * 1.2
+        data = defect_data(t, j1, j2)
+        floor = (1.0 + norm2(t)) ** 2
+        direct = (
+            signed_eigenbases(symmetrize(j1.j - t.T @ j2.j @ t), floor=floor),
+            signed_eigenbases(symmetrize(j2.j - t @ j1.j @ t.T), floor=floor),
+        )
+        for spec, bases in zip((data.spec_t, data.spec_tstar), direct):
+            assert all(np.array_equal(a, b) for a, b in zip(spec.bases(), bases))
+
+
 def test_link_identities():
     assert verify_link_identities(scalar_data(2.0))
     assert verify_link_identities(scalar_data(0.0))

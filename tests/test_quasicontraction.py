@@ -70,6 +70,27 @@ def test_counts_read_off_one_spectrum_match_direct_decompositions():
         assert solvable(col, tol)
 
 
+def test_all_pinned_columns_split_with_counts_of_direct_decompositions():
+    # every head eigenvalue at exactly -1: the defect I - T11^2 vanishes, so
+    # the coupling must vanish to roundoff, not to its square root, for the
+    # extremes to exist; the counts must still match direct decompositions
+    rng = np.random.default_rng(41)
+    tol = ToleranceProfile()
+    for _ in range(180):
+        n1 = int(rng.integers(1, 6))
+        col = gens.random_quasicontraction_column(rng, n1, int(rng.integers(0, 4)), exact_unit=n1)
+        pair = extremal_extensions(col, tol)
+        head_floor = (1.0 + norm2(col.t11)) ** 2
+        assert pair.kappa == negativity(symmetrize(np.eye(n1) - col.t11 @ col.t11), tol, floor=head_floor)
+        for t in (col.t11, pair.t_min, pair.t_max):
+            eye = np.eye(t.shape[0])
+            floor = (1.0 + norm2(t)) ** 2
+            direct = tuple(negativity(symmetrize(eye + s * t), tol, floor=floor) for s in (1.0, -1.0))
+            assert split_counts(t, tol) == direct
+        assert (pair.kappa_minus, pair.kappa_plus) == split_counts(col.t11, tol)
+        assert solvable(col, tol)
+
+
 def test_solvable_examples():
     assert solvable(column([[2.0]], [[0.0]]))
     assert not solvable(column([[0.0]], [[2.0]]))
