@@ -46,7 +46,6 @@ from .spectral import (
     inertia_of,
     loewner_leq,
     negativity,
-    norm2,
     norm_leq,
     orthonormal_columns,
     projector,
@@ -293,13 +292,12 @@ def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
     ``W = F' V_d S_d^{-1}`` from ``F = U S V^T``.  For an operator graph
     ``W U^T`` is the matrix vanishing off the domain; for a selfadjoint
     relation ``U^T W`` is the operator part, which acts on the domain.
+    ``F V_d S_d^{-1} = U_d`` holds by construction of the SVD and is not
+    re-measured: its computed residual is roundoff of order ``u / s_d``,
+    which grows as the relation nears a multivalued direction.
     """
     u, s, v, d = rel._graph_split(tol)
-    coeff = v[:, :d] / s[:d]
-    residual = rel.first @ coeff - u[:, :d]
-    if not norm_leq(residual, lambda: tol.residual * (1.0 + float(d))):
-        raise ConsistencyError(f"domain basis failed to resolve in the graph: {norm2(residual):.3e}")
-    return u[:, :d], rel.second @ coeff
+    return u[:, :d], rel.second @ (v[:, :d] / s[:d])
 
 
 @per_profile
@@ -356,16 +354,23 @@ def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormDat
     """Boundary form with the projection onto ``ran(I + A)`` inserted.
 
     The Gram is taken over the canonical graph basis; graph elements
-    supported in the multivalued part contribute zero rows.  The identity
-    set linking the form to the Cayley transform side (on each basis
-    element: four times the projected form equals ``|g|^2 - |P1 h|^2`` for
-    ``g = f + f'`` and ``h = f - f'``, the unprojected form matches
-    ``|g|^2 - |h|^2``, and the coupling norms match) is verified.
+    supported in the multivalued part contribute zero rows.  Two identities
+    linking the form to the Cayley transform side are verified on each
+    basis element: four times the projected form equals ``|g|^2 - |P1 h|^2``
+    for ``g = f + f'`` and ``h = f - f'``, and ``|P2 h|^2 = 4 |P2 f|^2``.
+    They hold when ``g`` lies in ``ran(I + A)`` as read off the transform.
+    The unprojected ``4 f.f' = |g|^2 - |h|^2`` holds for any two vectors and
+    is not asserted.
     """
     tol = resolve(tol)
     if not classify(rel, tol).symmetric:
         raise NotSymmetric("the projected boundary form needs a symmetric relation")
     return _projected_form(rel, tol)
+
+
+def _col_sq(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each column."""
+    return np.sum(x * x, axis=0)
 
 
 def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
@@ -376,24 +381,17 @@ def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
     diffs = f - fp
     # ran(I + A) is the domain of the Cayley transform, off its kept graph SVD
     p1 = projector(operator_part(rel.cayley(tol), tol)[0])
-    gram = symmetrize(f.T @ p1 @ fp)
-    # elementwise identities against the Cayley side
+    raw = f.T @ p1 @ fp
+    gram = symmetrize(raw)
+    # columnwise identities against the Cayley side
     bound = tol.residual * 4.0
-    for i in range(rel.graph_dim):
-        g = sums[:, i]
-        h = diffs[:, i]
-        fi = f[:, i]
-        fpi = fp[:, i]
-        a1_val = float(fi @ (p1 @ fpi))
-        a_val = float(fi @ fpi)
-        if abs(4.0 * a1_val - (g @ g - (p1 @ h) @ (p1 @ h))) > bound:
-            raise ConsistencyError("projected form identity failed on a basis element")
-        if abs(4.0 * a_val - (g @ g - h @ h)) > bound:
-            raise ConsistencyError("form identity failed on a basis element")
-        p2f = fi - p1 @ fi
-        p2h = h - p1 @ h
-        if abs(p2h @ p2h - 4.0 * (p2f @ p2f)) > bound:
-            raise ConsistencyError("coupling norm identity failed on a basis element")
+    p1h = p1 @ diffs
+    p2h = diffs - p1h
+    p2f = f - p1 @ f
+    if np.any(np.abs(4.0 * np.diag(raw) - (_col_sq(sums) - _col_sq(p1h))) > bound):
+        raise ConsistencyError("projected form identity failed on a basis element")
+    if np.any(np.abs(_col_sq(p2h) - 4.0 * _col_sq(p2f)) > bound):
+        raise ConsistencyError("coupling norm identity failed on a basis element")
     negatives = negativity(gram, tol, floor=1.0) if gram.size else 0
     return FormData(gram=gram, negatives=negatives)
 
@@ -661,12 +659,11 @@ def _assert_translation_identities(rel, problem: ExtensionProblem, tol: Toleranc
         return norm_leq(gap, lambda nt, na: tol.zero * ((1.0 + nt) ** 2 + na) * weight, t1, a_hat)
 
     for _ in range(4):
-        g = u1 @ rng.standard_normal(d)
+        r = rng.standard_normal(d)
+        g = u1 @ r
         lhs_form = float(g @ g - (t1 @ g) @ (t1 @ g))
-        coeffs, *_ = np.linalg.lstsq(rel.first + rel.second, g, rcond=None)
-        f_part = rel.first @ coeffs
-        fp_part = p_op @ (rel.second @ coeffs)
-        rhs_form = 4.0 * float(fp_part @ f_part)
+        # least squares is linear in the right-hand side: lstsq(F + F', g) = coeff @ r
+        rhs_form = 4.0 * float((images @ r) @ (first_parts @ r))
         if not holds(abs(lhs_form - rhs_form), 1.0 + g @ g):
             raise ConsistencyError("quadratic translation identity failed")
         if u2.shape[1]:

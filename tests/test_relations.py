@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kreinkit import gens
+from kreinkit import gens, verify
 from kreinkit.errors import (
     DimensionMismatch,
     NotAnExtension,
@@ -26,6 +26,7 @@ from kreinkit.relations import (
     resolvent_matrix,
 )
 from kreinkit.spectral import subspace_distance
+from kreinkit.tolerances import resolve
 
 
 def graph(m):
@@ -133,6 +134,50 @@ def test_relation_inertia():
     assert (counts.i_plus, counts.i_minus, counts.i_zero, counts.i_inf) == (1, 0, 0, 1)
     with pytest.raises(NotSelfadjoint):
         relation_inertia(PARTIAL_IDENTITY)
+
+
+def _near_multivalued(rng, eps):
+    """Cayley image of ``T`` with one eigenvalue at ``-1 + eps``.
+
+    The other eigenvalues keep at least 0.2 from ``+-1``.  Returns the
+    relation and its counts ``(i_plus, i_minus)`` by the spectral map
+    ``mu -> (1 - mu) / (1 + mu)``: ``|mu| < 1`` gives a positive eigenvalue
+    and ``|mu| > 1`` a negative one.
+    """
+    n = int(rng.integers(2, 7))
+    mags = [rng.uniform(0.0, 0.8) if rng.integers(0, 2) else rng.uniform(1.2, 3.0) for _ in range(n - 1)]
+    mus = np.array([-1.0 + eps] + [m * rng.choice([-1.0, 1.0]) for m in mags])
+    q = gens.random_orthogonal(rng, n)
+    t = q @ np.diag(mus) @ q.T
+    rel = graph((t + t.T) / 2.0).cayley()
+    return rel, (int(np.sum(np.abs(mus) < 1.0)), int(np.sum(np.abs(mus) > 1.0)))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+def test_relation_inertia_near_a_multivalued_direction(eps):
+    # the operator part has an eigenvalue near 2 / eps, so a domain direction
+    # has singular value about eps / 2 and the SVD's roundoff about u / eps;
+    # counts are checked at 1e-7 only: below it the zero threshold, which
+    # scales with that eigenvalue, swallows the smallest of the others
+    rng = np.random.default_rng(62)
+    for _ in range(100):
+        rel, (i_plus, i_minus) = _near_multivalued(rng, eps)
+        counts = relation_inertia(rel)
+        if eps >= 1e-7:
+            assert (counts.i_plus, counts.i_minus, counts.i_zero, counts.i_inf) == (i_plus, i_minus, 0, 0)
+
+
+# (seed, cases) of ``verify --suite all --cases 100`` runs whose extension
+# interval check once failed on a correct SVD near the Friedrichs end
+_EXTENSION_INTERVAL_REPLAYS = [(23, 89), (64, 89), (88, 29), (182, 31), (188, 58)]
+
+
+@pytest.mark.parametrize("seed,cases", _EXTENSION_INTERVAL_REPLAYS)
+def test_verify_extension_interval_replays(seed, cases):
+    checks = [fn for suite in verify._SUITES.values() for _, fn in suite]
+    index = checks.index(verify._relations_extension_interval)
+    rng = np.random.default_rng([seed, index])
+    assert verify._run_cases(verify._relations_extension_interval, rng, cases, resolve(None)).failures == 0
 
 
 def test_cayley_scalar_and_multivalued():
