@@ -19,6 +19,7 @@ from .completion import assemble, completable, is_solution, minimal_completion, 
 from .errors import KreinkitError
 from .factor import JSpace, bicontraction_classify, douglas_factor, inertia_balance, schur_negativity_factor
 from .lifting import (
+    _extended_indices,
     column_extend,
     defect_data,
     extract_column_parameter,
@@ -318,6 +319,8 @@ def _lifting_roundtrip(rng, tol, track):
         return
     d, params, j1p, j2p = instance
     t_tilde = lift(d, params, j1p, j2p, tol)
+    targets, counts = _extended_indices(d, j1p, j2p, tol)
+    track.expect(counts(t_tilde) == targets)
     recovered = extract_lift_parameters(t_tilde, d, j1p, j2p, tol)
     err = max(
         norm2(recovered.gamma1 - params.gamma1),

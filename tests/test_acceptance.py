@@ -12,7 +12,7 @@ import numpy as np
 from kreinkit import gens
 from kreinkit.completion import assemble, is_solution, minimal_completion, reconstruction
 from kreinkit.factor import JSpace, inertia_balance
-from kreinkit.lifting import extract_lift_parameters, lift
+from kreinkit.lifting import _extended_indices, extract_lift_parameters, lift
 from kreinkit.quasicontraction import (
     SymmetricColumn,
     extremal_extensions,
@@ -42,6 +42,7 @@ from kreinkit.spectral import (
     subspace_distance,
     symmetrize,
 )
+from kreinkit.tolerances import resolve
 
 
 def nu_minus(matrix, scale_floor=1.0, threshold=1e-9):
@@ -152,7 +153,9 @@ def test_criterion_4_lifting_roundtrip():
         if instance is None:
             continue
         d, params, j1p, j2p = instance
-        lifted = lift(d, params, j1p, j2p)  # index equalities asserted inside
+        lifted = lift(d, params, j1p, j2p)
+        targets, counts = _extended_indices(d, j1p, j2p, resolve(None))
+        assert counts(lifted) == targets
         recovered = extract_lift_parameters(lifted, d, j1p, j2p)
         relifted = lift(d, recovered, j1p, j2p)
         err = norm2(relifted - lifted)

@@ -168,7 +168,9 @@ def test_defect_floors_take_no_svd_norm(norm2_calls):
     assert _count(norm2_calls, schur_inertia, blk, corner) == 0
 
 
-def test_lifting_indices_decompose_nothing_of_the_lifting_size(eigh_calls, norm2_calls):
+def test_lifting_indices_decompose_nothing_of_the_lifting_size(
+    eigh_calls, eigvalsh_calls, cholesky_calls, norm2_calls
+):
     rng = np.random.default_rng(4)
     instance = None
     while instance is None:
@@ -176,12 +178,17 @@ def test_lifting_indices_decompose_nothing_of_the_lifting_size(eigh_calls, norm2
     d, params, j1p, j2p = instance
     lifted = lift(d, params, j1p, j2p)
     assert lifted.shape == (4, 6)
+    # the base is 3 x 4, so its defect forms are 4 x 4 and 3 x 3, and the
+    # lifting's extended defect forms are 6 x 6 and 4 x 4
+    base_or_lifting = {(3, 3), (4, 4), (6, 6)}
     for fn, args in ((lift, (d, params, j1p, j2p)), (extract_lift_parameters, (lifted, d, j1p, j2p))):
-        eigh_calls.clear()
-        norm2_calls.clear()
+        for calls in (eigh_calls, eigvalsh_calls, cholesky_calls, norm2_calls):
+            calls.clear()
         fn(*args)
         # only the two parameter defect forms, 2 x 2 and 1 x 1, are decomposed
         assert sorted(eigh_calls) == [(1, 1), (2, 2)]
+        # the parameter gate factors only the exit-sized J-contractivity grams
+        assert cholesky_calls and not base_or_lifting & set(cholesky_calls + eigvalsh_calls)
         assert lifted.shape not in norm2_calls
 
 

@@ -1,10 +1,13 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kreinkit import gens
 from kreinkit.errors import (
+    DimensionMismatch,
+    KreinkitError,
     NegativeTargetIndex,
     NotJContractive,
     IndexMismatch,
@@ -14,6 +17,9 @@ from kreinkit.errors import (
 from kreinkit.factor import JSpace
 from kreinkit.lifting import (
     LiftParameters,
+    _defect_solve,
+    _extended_indices,
+    _parameter_defects,
     column_extend,
     defect_data,
     extract_column_parameter,
@@ -27,7 +33,17 @@ from kreinkit.lifting import (
     row_index_formula,
     verify_link_identities,
 )
-from kreinkit.spectral import norm2, signed_eigenbases, subspace_distance, symmetrize
+from kreinkit.spectral import (
+    as_matrix,
+    norm2,
+    norm_leq,
+    orthonormal_columns,
+    projector,
+    signed_eigenbases,
+    subspace_distance,
+    symmetrize,
+)
+from kreinkit.tolerances import resolve
 
 J1 = JSpace.identity(1)
 
@@ -262,6 +278,8 @@ def test_lift_roundtrip_property():
             continue
         d, params, j1p, j2p = instance
         lifted = lift(d, params, j1p, j2p)
+        targets, counts = _extended_indices(d, j1p, j2p, resolve(None))
+        assert counts(lifted) == targets
         recovered = extract_lift_parameters(lifted, d, j1p, j2p)
         assert norm2(recovered.gamma1 - params.gamma1) <= 1e-8
         assert norm2(recovered.gamma2 - params.gamma2) <= 1e-8
@@ -278,6 +296,184 @@ def test_extract_lift_errors():
     wrong_index = np.array([[0.0, 0.0], [0.0, 5.0]])
     with pytest.raises(IndexMismatch):
         extract_lift_parameters(wrong_index, d, J1, J1)
+
+
+def _reference_extract_lift_parameters(t_tilde, d, j1prime, j2prime, tol=None):
+    """``extract_lift_parameters`` as it stood before the parameter gate.
+
+    It counts both extended indices of every candidate first and only then
+    recovers the triplet; the agreement test below holds the gated version
+    to its verdicts, exception classes and messages.
+    """
+    tol = resolve(tol)
+    t_arr = as_matrix(t_tilde)
+    n2, n1 = d.dim2, d.dim1
+    if t_arr.shape[0] < n2 or t_arr.shape[1] < n1:
+        raise DimensionMismatch(
+            f"lifting has shape {t_arr.shape}, smaller than the base ({n2}, {n1})"
+        )
+    n1p = t_arr.shape[1] - n1
+    n2p = t_arr.shape[0] - n2
+    if n1p != j1prime.dim or n2p != j2prime.dim:
+        raise DimensionMismatch(
+            f"exit dimensions ({n1p}, {n2p}) do not match the exit symmetries"
+        )
+    compression = t_arr[:n2, :n1]
+    if not norm_leq(compression - d.t, lambda nt: tol.residual * (1.0 + nt), d.t):
+        raise NotALifting("the candidate does not compress to the original operator")
+    targets, counts = _extended_indices(d, j1prime, j2prime, tol)
+    got = counts(t_arr)
+    if got != targets:
+        raise IndexMismatch(f"candidate indices {got} differ from minimal {targets}")
+    r = t_arr[:n2, n1:]
+    c = t_arr[n2:, :n1]
+    x = t_arr[n2:, n1:]
+    gamma1 = _defect_solve(d.spec_tstar, d.d_tstar, r, tol, "the upper-right block")
+    gamma2 = _defect_solve(d.spec_t, d.d_t, c.T, tol, "the lower-left block transpose").T
+    params0 = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=np.zeros((n2p, n1p)))
+    spec_g1, spec_g2star = _parameter_defects(d, params0, j1prime, j2prime, tol)
+    residual = x + gamma2 @ d.jt @ d.l_tstar @ gamma1
+    gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
+    back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
+    if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
+        raise RangeInclusionFailed(
+            "the corner residual does not factor through the parameter defects"
+        )
+    return LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=gamma)
+
+
+def _assemble(d, g1, g2, g, j1p, j2p):
+    """``lift``'s block formula without its parameter gate."""
+    spec_g1, spec_g2star = _parameter_defects(d, LiftParameters(g1, g2, g), j1p, j2p, resolve(None))
+    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ g @ spec_g1.power(0.5)
+    return np.block([[d.t, d.d_tstar @ g1], [g2 @ d.d_t, corner]])
+
+
+def _boundary_lift_instance(rng, n1, n2, n1p, n2p):
+    """Like ``gens.random_lift_instance``, with unit singular values pinned.
+
+    ``T`` is a J-contraction with a unit singular value on each side its
+    signatures allow, so ``D_T`` and ``D_T*`` mostly have kernels;
+    ``gamma1`` and ``gamma2^T`` are drawn with random ``unit_directions``,
+    so the parameter defects can have kernels too; ``gamma`` is scaled to
+    norm one half the time.
+    """
+    k = int(rng.integers(0, min(n1, n2) + 1))
+    j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, k))
+    j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(k, n2 + 1))))
+
+    def units():
+        return int(rng.integers(0, 2)), int(rng.integers(0, 2))
+
+    plus, minus, _ = signed_eigenbases(j2.j)
+    try:
+        t = gens.random_j_contraction_into(rng, j1.j, plus, minus, unit_directions=(1, 1))
+        d = defect_data(t, j1, j2)
+        j1p = JSpace.from_matrix(
+            gens.random_symmetry(rng, n1p, int(rng.integers(0, min(d.kappa2, n1p) + 1)))
+        )
+        j2p = JSpace.from_matrix(
+            gens.random_symmetry(rng, n2p, int(rng.integers(0, min(d.kappa1, n2p) + 1)))
+        )
+        plus1, minus1, _ = d.spec_t.bases()
+        plus2, minus2, _ = d.spec_tstar.bases()
+        g1 = gens.random_j_contraction_into(rng, j1p.j, plus2, minus2, unit_directions=units())
+        g2 = gens.random_j_contraction_into(rng, j2p.j, plus1, minus1, unit_directions=units()).T
+    except ValueError:
+        return None
+    spec_g1, spec_g2star = _parameter_defects(
+        d, LiftParameters(g1, g2, np.zeros((n2p, n1p))), j1p, j2p, resolve(None)
+    )
+    g = (
+        projector(orthonormal_columns(spec_g2star.power(0.5)))
+        @ gens.random_contraction(rng, n2p, n1p, 0.85)
+        @ projector(orthonormal_columns(spec_g1.power(0.5)))
+    )
+    if rng.integers(0, 2) and norm2(g) > 1e-3:
+        g = g / norm2(g)
+    return d, LiftParameters(g1, g2, g), j1p, j2p
+
+
+def _lift_candidates(rng, kinds):
+    """Candidates of the requested kinds, all on one drawn instance.
+
+    0 a valid lifting; 1 ``gamma`` pushed past norm one; 2 and 3 ``gamma1``
+    and ``gamma2`` scaled past J-contractivity; 4 and 5 the upper-right and
+    lower-left blocks given a component off ``ran D_T*`` and ``ran D_T``
+    (only where that defect has a kernel); 6 a wrong corner (wrong indices)
+    or a wrong compression (not a lifting).
+    """
+    dims = [int(rng.integers(1, 5)) for _ in range(2)] + [int(rng.integers(1, 4)) for _ in range(2)]
+    # kinds 4 and 5 need a defect kernel, which only boundary instances have
+    boundary = set(kinds) <= {4, 5} or rng.integers(0, 2)
+    instance = (_boundary_lift_instance if boundary else gens.random_lift_instance)(rng, *dims)
+    if instance is None:
+        return []
+    d, p, j1p, j2p = instance
+    n2, n1 = d.dim2, d.dim1
+    out = []
+    for kind in kinds:
+        g1, g2, g = p.gamma1, p.gamma2, p.gamma
+        if kind == 1:
+            direction = g if norm2(g) > 1e-3 else rng.standard_normal(g.shape)
+            g = direction * (rng.uniform(1.05, 2.0) / norm2(direction))
+        elif kind == 2:
+            g1 = g1 * rng.uniform(1.5, 4.0)
+        elif kind == 3:
+            g2 = g2 * rng.uniform(1.5, 4.0)
+        candidate = _assemble(d, g1, g2, g, j1p, j2p)
+        if kind in (4, 5):
+            spec, block = (d.spec_tstar, candidate[:n2, n1:]) if kind == 4 else (d.spec_t, candidate[n2:, :n1].T)
+            kernel = spec.bases()[2]
+            if kernel.shape[1] == 0:
+                continue
+            block += kernel @ rng.standard_normal((kernel.shape[1], block.shape[1])) * rng.uniform(0.1, 1.0)
+        elif kind == 6:
+            if rng.integers(0, 2):
+                candidate[n2:, n1:] = 5.0 * rng.standard_normal((j2p.dim, j1p.dim))
+            else:
+                candidate[:n2, :n1] += rng.uniform(0.01, 0.5) * rng.standard_normal((n2, n1))
+        out.append((kind, (candidate, d, j1p, j2p)))
+    return out
+
+
+def _extract_outcome(extract, candidate, d, j1p, j2p):
+    try:
+        params = extract(candidate, d, j1p, j2p)
+    except KreinkitError as exc:
+        return type(exc), str(exc), None
+    return LiftParameters, "", params
+
+
+def test_gated_extraction_agrees_with_the_index_count():
+    rng = np.random.default_rng(35)
+    d0 = zero_lift_data()
+    candidates = [  # the two blocks of test_extract_lift_errors
+        (6, (np.array([[0.5, 0.0], [0.0, 0.0]]), d0, J1, J1)),
+        (6, (np.array([[0.0, 0.0], [0.0, 5.0]]), d0, J1, J1)),
+    ]
+    per_kind = {kind: 0 for kind in range(7)}
+    per_kind[6] = 2
+    while min(per_kind.values()) < 300:
+        drawn = _lift_candidates(rng, [kind for kind, n in per_kind.items() if n < 300])
+        for kind, _ in drawn:
+            per_kind[kind] += 1
+        candidates += drawn
+    outcomes = Counter()
+    for kind, args in candidates:
+        expected = _extract_outcome(_reference_extract_lift_parameters, *args)
+        got = _extract_outcome(extract_lift_parameters, *args)
+        assert got[:2] == expected[:2], (kind, got[:2], expected[:2])
+        if expected[2] is not None:
+            assert all(np.array_equal(getattr(got[2], f), getattr(expected[2], f))
+                       for f in ("gamma1", "gamma2", "gamma"))
+        outcomes[kind, expected[0].__name__] += 1
+    assert len(candidates) >= 2000
+    # every kind is decided, and each perturbation is caught by the index count
+    assert outcomes[0, "LiftParameters"] == per_kind[0]
+    for kind in range(1, 6):
+        assert outcomes[kind, "IndexMismatch"] > 0
+    assert outcomes[6, "IndexMismatch"] > 0 and outcomes[6, "NotALifting"] > 0
 
 
 def test_kernel_map_examples():
