@@ -12,8 +12,9 @@ Column extensions ``[T; K^T D_T]`` and row extensions ``[T, D_T* B]``
 attain the minimal extended negative index exactly for J-contractive
 parameters, and the general 2x2 lifting is parametrized by a triplet
 ``(Gamma1, Gamma2, Gamma)`` with explicit inverse maps.  A lifting is
-decided by its triplet, on exit-sized matrices: by the lifting theorem it
-attains both minimal indices exactly when the triplet passes the gate.
+decided by its triplet on exit-sized matrices; the lifting's indices are
+counted only where the triplet misses the theorem's conditions or meets them
+only within the order slack.
 
 Operators nominally defined on a defect subspace are stored as full-space
 matrices vanishing on the orthogonal complement; that normalization makes
@@ -42,6 +43,7 @@ from .spectral import (
     SpectralDecomposition,
     _decompose,
     _inertia,
+    _order_by_cholesky,
     as_matrix,
     intersect_subspaces,
     loewner_leq,
@@ -375,9 +377,10 @@ def _parameter_defects(
 def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol: ToleranceProfile):
     """Targets ``(kappa1 - nu_-(J2'), kappa2 - nu_-(J1'))`` and the counter of a lifting's two indices."""
     targets = (d.kappa1 - j2prime.negativity(tol), d.kappa2 - j1prime.negativity(tol))
+    j1_ext = _block_diag(d.j1.j, j1prime.j)
+    j2_ext = _block_diag(d.j2.j, j2prime.j)
 
     def counts(t_ext: np.ndarray) -> tuple[int, int]:
-        j1_ext, j2_ext = _block_diag(d.j1.j, j1prime.j), _block_diag(d.j2.j, j2prime.j)
         floor = _defect_scale(t_ext)
         return (
             _inertia(symmetrize(j1_ext - t_ext.T @ j2_ext @ t_ext), tol, floor).n_minus,
@@ -388,16 +391,35 @@ def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol
 
 
 def _parameter_gate(d: JContractionData, p: LiftParameters, j1prime: JSpace, j2prime: JSpace,
-                    tol: ToleranceProfile) -> LiftParameters:
-    """The triplet with ``gamma1``, ``gamma2^T`` projected onto the defect subspaces, if they are
-    J-contractions into them and ``|gamma| <= 1``: the lifting theorem's conditions."""
+                    tol: ToleranceProfile) -> tuple[LiftParameters, bool]:
+    """The lifting theorem's conditions: ``gamma1``, ``gamma2^T`` J-contractions into
+    the defect subspaces and ``|gamma| <= 1``; raises if they fail beyond the order slack.
+
+    Returns the triplet with ``gamma1``, ``gamma2^T`` projected onto the defect
+    subspaces, and whether it meets them with no slack (the parameter defect
+    forms certified positive definite): only then are the lifting's indices
+    minimal without a count, since inside the slack they can miss by more than
+    its zero threshold.
+    """
     g1 = _check_parameter(p.gamma1, j1prime.j, d.jtstar, d.spec_tstar, tol, "gamma1",
                           exc=ParameterInvariantViolated)
     g2t = _check_parameter(p.gamma2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
                            exc=ParameterInvariantViolated)
     if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
-    return LiftParameters(gamma1=g1, gamma2=g2t.T, gamma=p.gamma)
+    grams = (j1prime.j - g1.T @ d.jtstar @ g1, j2prime.j - g2t.T @ d.jt @ g2t)
+    exact = norm_leq(p.gamma, lambda: 1.0) and all(
+        _order_by_cholesky(symmetrize(gram), (lambda: 0.0,)) for gram in grams
+    )
+    return LiftParameters(gamma1=g1, gamma2=g2t.T, gamma=p.gamma), exact
+
+
+def _assemble(d: JContractionData, p: LiftParameters, spec_g1: SpectralDecomposition,
+              spec_g2star: SpectralDecomposition) -> np.ndarray:
+    """The block ``[[T, D_T* G1], [G2 D_T, -G2 J_T L_T* G1 + D_G2* G D_G1]]``."""
+    g1, g2 = p.gamma1, p.gamma2
+    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ p.gamma @ spec_g1.power(0.5)
+    return np.block([[d.t, d.d_tstar @ g1], [g2 @ d.d_t, corner]])
 
 
 def lift(
@@ -409,23 +431,27 @@ def lift(
 ) -> np.ndarray:
     """Assemble the 2x2 lifting determined by a parameter triplet.
 
-    The block is ``[[T, D_T* G1], [G2 D_T, -G2 J_T L_T* G1 + D_G2* G D_G1]]``.
-    For a triplet that passes the parameter gate both extended defect forms
-    attain the minimal negative indices ``kappa1 - nu_-(J2')`` and
-    ``kappa2 - nu_-(J1')`` (the lifting theorem; counted in verify and tests).
+    The block is ``[[T, D_T* G1], [G2 D_T, -G2 J_T L_T* G1 + D_G2* G D_G1]]``
+    and both extended defect forms attain the minimal negative indices
+    ``kappa1 - nu_-(J2')`` and ``kappa2 - nu_-(J1')``: by the lifting theorem
+    (counted in verify and the tests), or by count here for a triplet that
+    meets the gate only within its slack.
     """
     tol = resolve(tol)
     g1 = _shaped(p.gamma1, (d.dim2, j1prime.dim), "gamma1")
     g2 = _shaped(p.gamma2, (j2prime.dim, d.dim1), "gamma2")
     g = _shaped(p.gamma, (j2prime.dim, j1prime.dim), "gamma")
-    targets, _ = _extended_indices(d, j1prime, j2prime, tol)
+    targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     if min(targets) < 0:
         raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
-    params = _parameter_gate(d, LiftParameters(g1, g2, g), j1prime, j2prime, tol)
-    g1, g2 = params.gamma1, params.gamma2
-    spec_g1, spec_g2star = _parameter_defects(d, params, j1prime, j2prime, tol)
-    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ g @ spec_g1.power(0.5)
-    return np.block([[d.t, d.d_tstar @ g1], [g2 @ d.d_t, corner]])
+    params, exact = _parameter_gate(d, LiftParameters(gamma1=g1, gamma2=g2, gamma=g),
+                                    j1prime, j2prime, tol)
+    t_tilde = _assemble(d, params, *_parameter_defects(d, params, j1prime, j2prime, tol))
+    if not exact:
+        got = counts(t_tilde)
+        if got != targets:
+            raise ConsistencyError(f"lifting indices {got} differ from targets {targets}")
+    return t_tilde
 
 
 def extract_lift_parameters(
@@ -437,43 +463,60 @@ def extract_lift_parameters(
 ) -> LiftParameters:
     """Invert the lifting parametrization.
 
-    The candidate must compress to ``T`` on the original spaces; the
-    parameters are recovered block by block, the contraction from the
-    residual of the lower-right corner, and pass :func:`lift`'s gate.  Only
-    if a block does not factor or the gate fails are the extended indices
-    counted, and a miss of the minimal ones raises :class:`IndexMismatch`.
+    The candidate must compress to ``T`` on the original spaces and attain
+    both minimal indices; the parameters are recovered block by block, the
+    contraction from the residual of the lower-right corner.  The indices are
+    counted unless the candidate is, within ``zero (1 + |T~|) / 2``, the lifting
+    of a triplet meeting :func:`lift`'s gate with no slack; that perturbation
+    moves no eigenvalue of an extended defect form by more than the count's
+    zero threshold.
     """
     tol = resolve(tol)
     t_arr = as_matrix(t_tilde)
     n2, n1 = d.dim2, d.dim1
     if t_arr.shape[0] < n2 or t_arr.shape[1] < n1:
-        raise DimensionMismatch(f"lifting has shape {t_arr.shape}, smaller than the base ({n2}, {n1})")
+        raise DimensionMismatch(
+            f"lifting has shape {t_arr.shape}, smaller than the base ({n2}, {n1})"
+        )
     n1p = t_arr.shape[1] - n1
     n2p = t_arr.shape[0] - n2
     if n1p != j1prime.dim or n2p != j2prime.dim:
-        raise DimensionMismatch(f"exit dimensions ({n1p}, {n2p}) do not match the exit symmetries")
+        raise DimensionMismatch(
+            f"exit dimensions ({n1p}, {n2p}) do not match the exit symmetries"
+        )
     compression = t_arr[:n2, :n1]
     if not norm_leq(compression - d.t, lambda nt: tol.residual * (1.0 + nt), d.t):
         raise NotALifting("the candidate does not compress to the original operator")
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
+    r = t_arr[:n2, n1:]
+    c = t_arr[n2:, :n1]
+    x = t_arr[n2:, n1:]
+    failure = None
     try:
-        gamma1 = _defect_solve(d.spec_tstar, d.d_tstar, t_arr[:n2, n1:], tol, "the upper-right block")
-        gamma2 = _defect_solve(d.spec_t, d.d_t, t_arr[n2:, :n1].T, tol, "the lower-left block transpose").T
+        gamma1 = _defect_solve(d.spec_tstar, d.d_tstar, r, tol, "the upper-right block")
+        gamma2 = _defect_solve(d.spec_t, d.d_t, c.T, tol, "the lower-left block transpose").T
         params0 = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=np.zeros((n2p, n1p)))
         spec_g1, spec_g2star = _parameter_defects(d, params0, j1prime, j2prime, tol)
-        residual = t_arr[n2:, n1:] + gamma2 @ d.jt @ d.l_tstar @ gamma1
+        residual = x + gamma2 @ d.jt @ d.l_tstar @ gamma1
         gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
         back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
         if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
-            raise RangeInclusionFailed("the corner residual does not factor through the parameter defects")
+            raise RangeInclusionFailed(
+                "the corner residual does not factor through the parameter defects"
+            )
         params = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=gamma)
-        _parameter_gate(d, params, j1prime, j2prime, tol)
-    except (RangeInclusionFailed, ParameterInvariantViolated) as failure:
-        got = counts(t_arr)
-        if got != targets:
-            raise IndexMismatch(f"candidate indices {got} differ from minimal {targets}") from failure
-        if isinstance(failure, RangeInclusionFailed):
-            raise
+        if _parameter_gate(d, params, j1prime, j2prime, tol)[1] and norm_leq(
+            _assemble(d, params, spec_g1, spec_g2star) - t_arr,
+            lambda nt: 0.5 * tol.zero * (1.0 + nt), t_arr,
+        ):
+            return params
+    except (RangeInclusionFailed, ParameterInvariantViolated) as exc:
+        failure = exc
+    got = counts(t_arr)
+    if got != targets:
+        raise IndexMismatch(f"candidate indices {got} differ from minimal {targets}") from failure
+    if isinstance(failure, RangeInclusionFailed):
+        raise failure
     return params
 
 

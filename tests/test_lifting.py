@@ -6,17 +6,22 @@ import pytest
 
 from kreinkit import gens
 from kreinkit.errors import (
+    ConsistencyError,
     DimensionMismatch,
+    HypothesisViolated,
     KreinkitError,
     NegativeTargetIndex,
     NotJContractive,
     IndexMismatch,
     NotALifting,
+    ParameterInvariantViolated,
     RangeInclusionFailed,
 )
 from kreinkit.factor import JSpace
 from kreinkit.lifting import (
     LiftParameters,
+    _assemble,
+    _check_parameter,
     _defect_solve,
     _extended_indices,
     _parameter_defects,
@@ -342,11 +347,35 @@ def _reference_extract_lift_parameters(t_tilde, d, j1prime, j2prime, tol=None):
     return LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=gamma)
 
 
-def _assemble(d, g1, g2, g, j1p, j2p):
+def _reference_lift(d, p, j1prime, j2prime, tol=None):
+    """``lift`` as it stood before the parameter gate: it counts the indices
+    of every lifting it assembles and raises if they miss the minimal ones."""
+    tol = resolve(tol)
+    targets, counts = _extended_indices(d, j1prime, j2prime, tol)
+    if min(targets) < 0:
+        raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
+    g1 = _check_parameter(p.gamma1, j1prime.j, d.jtstar, d.spec_tstar, tol, "gamma1",
+                          exc=ParameterInvariantViolated)
+    g2t = _check_parameter(p.gamma2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
+                           exc=ParameterInvariantViolated)
+    g2 = g2t.T
+    if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
+        raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
+    params = LiftParameters(gamma1=g1, gamma2=g2, gamma=p.gamma)
+    spec_g1, spec_g2star = _parameter_defects(d, params, j1prime, j2prime, tol)
+    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ p.gamma @ spec_g1.power(0.5)
+    top = np.hstack([d.t, d.d_tstar @ g1])
+    bottom = np.hstack([g2 @ d.d_t, corner])
+    t_tilde = np.vstack([top, bottom])
+    got = counts(t_tilde)
+    if got != targets:
+        raise ConsistencyError(f"lifting indices {got} differ from targets {targets}")
+    return t_tilde
+
+
+def _assemble_ungated(d, p, j1p, j2p):
     """``lift``'s block formula without its parameter gate."""
-    spec_g1, spec_g2star = _parameter_defects(d, LiftParameters(g1, g2, g), j1p, j2p, resolve(None))
-    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ g @ spec_g1.power(0.5)
-    return np.block([[d.t, d.d_tstar @ g1], [g2 @ d.d_t, corner]])
+    return _assemble(d, p, *_parameter_defects(d, p, j1p, j2p, resolve(None)))
 
 
 def _boundary_lift_instance(rng, n1, n2, n1p, n2p):
@@ -395,17 +424,22 @@ def _boundary_lift_instance(rng, n1, n2, n1p, n2p):
 
 
 def _lift_candidates(rng, kinds):
-    """Candidates of the requested kinds, all on one drawn instance.
+    """Candidates ``(kind, triplet, extraction arguments)`` of the requested
+    kinds, all on one drawn instance; ``triplet`` is what the candidate was
+    assembled from, or ``None`` where a block was perturbed afterwards.
 
     0 a valid lifting; 1 ``gamma`` pushed past norm one; 2 and 3 ``gamma1``
     and ``gamma2`` scaled past J-contractivity; 4 and 5 the upper-right and
     lower-left blocks given a component off ``ran D_T*`` and ``ran D_T``
     (only where that defect has a kernel); 6 a wrong corner (wrong indices)
-    or a wrong compression (not a lifting).
+    or a wrong compression (not a lifting); 7 within the tolerances of a
+    valid lifting: ``|gamma|`` set to ``1 + k 1e-10``, ``gamma1`` or
+    ``gamma2`` scaled by ``1 + k 1e-10``, or a block moved by ``1e-11`` to
+    ``1e-7``, off the defect range where it has a kernel.
     """
     dims = [int(rng.integers(1, 5)) for _ in range(2)] + [int(rng.integers(1, 4)) for _ in range(2)]
-    # kinds 4 and 5 need a defect kernel, which only boundary instances have
-    boundary = set(kinds) <= {4, 5} or rng.integers(0, 2)
+    # kinds 4, 5 and 7 need defect kernels, which only boundary instances have
+    boundary = set(kinds) <= {4, 5, 7} or rng.integers(0, 2)
     instance = (_boundary_lift_instance if boundary else gens.random_lift_instance)(rng, *dims)
     if instance is None:
         return []
@@ -414,66 +448,96 @@ def _lift_candidates(rng, kinds):
     out = []
     for kind in kinds:
         g1, g2, g = p.gamma1, p.gamma2, p.gamma
-        if kind == 1:
+        variant = int(rng.integers(0, 5))
+        if kind == 1 or (kind == 7 and variant == 0):
             direction = g if norm2(g) > 1e-3 else rng.standard_normal(g.shape)
-            g = direction * (rng.uniform(1.05, 2.0) / norm2(direction))
-        elif kind == 2:
-            g1 = g1 * rng.uniform(1.5, 4.0)
-        elif kind == 3:
-            g2 = g2 * rng.uniform(1.5, 4.0)
-        candidate = _assemble(d, g1, g2, g, j1p, j2p)
-        if kind in (4, 5):
-            spec, block = (d.spec_tstar, candidate[:n2, n1:]) if kind == 4 else (d.spec_t, candidate[n2:, :n1].T)
+            size = rng.uniform(1.05, 2.0) if kind == 1 else 1.0 + int(rng.integers(-5, 31)) * 1e-10
+            g = direction * (size / norm2(direction))
+        elif kind == 2 or (kind == 7 and variant == 1):
+            g1 = g1 * (rng.uniform(1.5, 4.0) if kind == 2 else 1.0 + int(rng.integers(0, 31)) * 1e-10)
+        elif kind == 3 or (kind == 7 and variant == 2):
+            g2 = g2 * (rng.uniform(1.5, 4.0) if kind == 3 else 1.0 + int(rng.integers(0, 31)) * 1e-10)
+        triplet = LiftParameters(g1, g2, g)
+        candidate = _assemble_ungated(d, triplet, j1p, j2p)
+        if kind in (4, 5) or (kind == 7 and variant == 3):
+            side = kind == 4 or (kind == 7 and rng.integers(0, 2))
+            spec, block = (d.spec_tstar, candidate[:n2, n1:]) if side else (d.spec_t, candidate[n2:, :n1].T)
             kernel = spec.bases()[2]
             if kernel.shape[1] == 0:
-                continue
-            block += kernel @ rng.standard_normal((kernel.shape[1], block.shape[1])) * rng.uniform(0.1, 1.0)
+                if kind != 7:
+                    continue
+                kernel = np.eye(block.shape[0])
+            size = rng.uniform(0.1, 1.0) if kind != 7 else 10.0 ** rng.uniform(-11, -7)
+            block += kernel @ rng.standard_normal((kernel.shape[1], block.shape[1])) * size
+            triplet = None
+        elif kind == 7 and variant == 4:
+            candidate[n2:, n1:] += rng.standard_normal((j2p.dim, j1p.dim)) * 10.0 ** rng.uniform(-11, -7)
+            triplet = None
         elif kind == 6:
             if rng.integers(0, 2):
                 candidate[n2:, n1:] = 5.0 * rng.standard_normal((j2p.dim, j1p.dim))
             else:
                 candidate[:n2, :n1] += rng.uniform(0.01, 0.5) * rng.standard_normal((n2, n1))
-        out.append((kind, (candidate, d, j1p, j2p)))
+            triplet = None
+        out.append((kind, triplet, (candidate, d, j1p, j2p)))
     return out
 
 
-def _extract_outcome(extract, candidate, d, j1p, j2p):
+def _outcome(call, *args):
     try:
-        params = extract(candidate, d, j1p, j2p)
+        value = call(*args)
     except KreinkitError as exc:
         return type(exc), str(exc), None
-    return LiftParameters, "", params
+    return type(value), "", value
 
 
-def test_gated_extraction_agrees_with_the_index_count():
+def _assert_same(got, expected, where):
+    assert got[:2] == expected[:2], (where, got[:2], expected[:2])
+    if isinstance(expected[2], LiftParameters):
+        assert all(np.array_equal(getattr(got[2], f), getattr(expected[2], f))
+                   for f in ("gamma1", "gamma2", "gamma")), where
+    elif expected[2] is not None:
+        assert np.array_equal(got[2], expected[2]), where
+
+
+def test_gated_lifting_agrees_with_the_index_count():
     rng = np.random.default_rng(35)
     d0 = zero_lift_data()
-    candidates = [  # the two blocks of test_extract_lift_errors
-        (6, (np.array([[0.5, 0.0], [0.0, 0.0]]), d0, J1, J1)),
-        (6, (np.array([[0.0, 0.0], [0.0, 5.0]]), d0, J1, J1)),
+    one = np.ones((1, 1))
+    # the two blocks of test_extract_lift_errors, and |gamma| = 1 + 9e-10: inside the order
+    # slack 1e-9, but its extended defect form has the eigenvalue -1.8e-9, past the count's
+    # zero threshold 8e-10, so the count rejects both the candidate and the triplet
+    candidates = [
+        (6, None, (np.array([[0.5, 0.0], [0.0, 0.0]]), d0, J1, J1)),
+        (6, None, (np.array([[0.0, 0.0], [0.0, 5.0]]), d0, J1, J1)),
+        (7, LiftParameters(0 * one, 0 * one, (1.0 + 9e-10) * one),
+         (np.array([[0.0, 0.0], [0.0, 1.0 + 9e-10]]), d0, J1, J1)),
     ]
-    per_kind = {kind: 0 for kind in range(7)}
-    per_kind[6] = 2
-    while min(per_kind.values()) < 300:
-        drawn = _lift_candidates(rng, [kind for kind, n in per_kind.items() if n < 300])
-        for kind, _ in drawn:
-            per_kind[kind] += 1
+    quota = {kind: 300 for kind in range(7)} | {7: 600}
+    per_kind = Counter(kind for kind, _, _ in candidates)
+    while any(per_kind[kind] < n for kind, n in quota.items()):
+        drawn = _lift_candidates(rng, [kind for kind, n in quota.items() if per_kind[kind] < n])
+        per_kind.update(kind for kind, _, _ in drawn)
         candidates += drawn
-    outcomes = Counter()
-    for kind, args in candidates:
-        expected = _extract_outcome(_reference_extract_lift_parameters, *args)
-        got = _extract_outcome(extract_lift_parameters, *args)
-        assert got[:2] == expected[:2], (kind, got[:2], expected[:2])
-        if expected[2] is not None:
-            assert all(np.array_equal(getattr(got[2], f), getattr(expected[2], f))
-                       for f in ("gamma1", "gamma2", "gamma"))
-        outcomes[kind, expected[0].__name__] += 1
+    extracted, lifted = Counter(), Counter()
+    for kind, triplet, args in candidates:
+        expected = _outcome(_reference_extract_lift_parameters, *args)
+        _assert_same(_outcome(extract_lift_parameters, *args), expected, kind)
+        extracted[kind, expected[0].__name__] += 1
+        if triplet is not None:
+            lift_args = (args[1], triplet, *args[2:])
+            expected = _outcome(_reference_lift, *lift_args)
+            _assert_same(_outcome(lift, *lift_args), expected, kind)
+            lifted[kind, expected[0].__name__] += 1
     assert len(candidates) >= 2000
     # every kind is decided, and each perturbation is caught by the index count
-    assert outcomes[0, "LiftParameters"] == per_kind[0]
+    assert extracted[0, "LiftParameters"] == per_kind[0] == lifted[0, "ndarray"]
     for kind in range(1, 6):
-        assert outcomes[kind, "IndexMismatch"] > 0
-    assert outcomes[6, "IndexMismatch"] > 0 and outcomes[6, "NotALifting"] > 0
+        assert extracted[kind, "IndexMismatch"] > 0
+    assert extracted[6, "IndexMismatch"] > 0 and extracted[6, "NotALifting"] > 0
+    # the tolerance band holds liftings of both verdicts, for both calls
+    assert extracted[7, "LiftParameters"] > 0 and extracted[7, "IndexMismatch"] > 0
+    assert lifted[7, "ndarray"] > 0 and lifted[7, "ConsistencyError"] > 0
 
 
 def test_kernel_map_examples():
