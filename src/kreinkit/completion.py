@@ -20,6 +20,7 @@ candidate corner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,39 +84,49 @@ class IncompleteBlock:
 
 @dataclass(frozen=True)
 class CompletionSolution:
-    """Factor ``s``, signature ``j``, smallest corner ``a22_min``, index ``kappa``.
+    """Factor ``s``, smallest corner ``a22_min``, index ``kappa``, signature ``j``.
 
     ``spectrum`` is the decomposition of ``a11`` all of these were read off.
+    The signature ``j = sign(a11)`` is composed off it on first read and
+    then kept, read-only.
     """
 
     s: np.ndarray
-    j: np.ndarray
     a22_min: np.ndarray
     kappa: int
     spectrum: SpectralDecomposition
 
+    @cached_property
+    def j(self) -> np.ndarray:
+        j = self.spectrum.sign()
+        j.flags.writeable = False
+        return j
+
 
 @per_profile
 def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
-    """Spectrum of ``a11``, ``S = |a11|^{[-1/2]} a12`` and the inclusion verdict.
+    """Spectrum of ``a11``, ``Y = V^T a12``, ``S = |a11|^{[-1/2]} a12`` and the inclusion verdict.
 
     The spectrum is floored at its own norm, so ``|a11|^{1/2}`` has its
     kernel zero-classified at the data scale: the fractional power would
     otherwise turn roundoff kernel eigenvalues into square-root-of-roundoff
     singular values.  The floor equals the norm, so the classification is
-    exactly the one the inertia of ``a11`` uses.  The residual
-    ``| |a11|^{1/2} S - a12 |`` decides ``ran a12`` inside ``ran |a11|^{1/2}``.
+    exactly the one the inertia of ``a11`` uses.  ``S`` is the thin product
+    ``V (|w|^{[-1/2]} Y)``, and the residual ``| |a11|^{1/2} S - a12 |``, the
+    kernel part ``V_ker Y_ker`` of ``a12``, decides ``ran a12`` inside
+    ``ran |a11|^{1/2}``.
     """
     spec = spectral_decompose(blk.a11, tol)
     spec = spec.with_floor(spec.norm)
-    s = spec.pinv_power(0.5) @ blk.a12
-    included = norm_leq(spec.power(0.5) @ s - blk.a12, lambda nb: tol.residual * (1.0 + nb), blk.a12)
-    return spec, s, included
+    y = spec.eigenvectors.T @ blk.a12
+    s = spec._apply(spec._pinv_values(0.5), y)
+    leak, _ = spec._kernel_split(y)
+    return spec, y, s, norm_leq(leak, lambda nb: tol.residual * (1.0 + nb), blk.a12)
 
 
 def completable(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> bool:
     """Range-inclusion criterion: ``ran a12`` inside ``ran |a11|^{1/2}``."""
-    return _factor(blk, tol)[2]
+    return _factor(blk, tol)[3]
 
 
 @per_profile
@@ -125,18 +136,16 @@ def minimal_completion(blk: IncompleteBlock, tol: ToleranceProfile | None = None
     Raises :class:`NotCompletable` (with the best least-squares residual
     attached) when the range inclusion fails.
     """
-    spec, s, included = _factor(blk, tol)
+    spec, y, s, included = _factor(blk, tol)
     if not included:
         residual = norm2(spec.power(0.5) @ s - blk.a12)
         raise NotCompletable(
             f"ran a12 is not contained in ran |a11|^(1/2); best residual {residual:.3e}",
             residual=residual,
         )
-    j = spec.sign()
-    a22_min = symmetrize(s.T @ j @ s)
-    return CompletionSolution(
-        s=s, j=j, a22_min=a22_min, kappa=spec.inertia.n_minus, spectrum=spec
-    )
+    # S^T J S = Y^T sign(w) |w|^{[-1]} Y
+    a22_min = symmetrize(y.T @ ((spec._sign_values() * spec._pinv_values(1.0))[:, None] * y))
+    return CompletionSolution(s=s, a22_min=a22_min, kappa=spec.inertia.n_minus, spectrum=spec)
 
 
 def _corner(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None) -> np.ndarray:

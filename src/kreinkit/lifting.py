@@ -19,11 +19,17 @@ only within the order slack.
 Operators nominally defined on a defect subspace are stored as full-space
 matrices vanishing on the orthogonal complement; that normalization makes
 the parametrizations one-to-one and testable.
+
+Every operator here is a function of the two defect forms, so only their
+spectra are kept.  Extensions and liftings apply them to exit-sized
+parameters as thin products in the eigenbasis, each parameter entering it
+once as ``Y = V^T P``; no operator of the defect forms' size is composed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,27 +87,29 @@ __all__ = [
 class JContractionData:
     """An operator between two J-spaces with its defect machinery.
 
-    ``d_t``/``d_tstar`` are the defect moduli, ``jt``/``jtstar`` their
-    signatures, ``l_t``/``l_tstar`` the link operators (full-space matrices
-    vanishing off the defect subspaces), and ``kappa1``/``kappa2`` the
-    negative indices of the two defect forms.  ``spec_t``/``spec_tstar``
-    are the decompositions of the defect forms ``J1 - T^T J2 T`` and
-    ``J2 - T J1 T^T`` everything else was read off.
+    ``spec_t``/``spec_tstar`` are the decompositions of the defect forms
+    ``J1 - T^T J2 T`` and ``J2 - T J1 T^T`` and ``kappa1``/``kappa2`` their
+    negative indices; only :func:`defect_data` builds this value.  The
+    defect moduli ``d_t``/``d_tstar``, their signatures ``jt``/``jtstar``
+    and the link operators ``l_t``/``l_tstar`` (full-space matrices
+    vanishing off the defect subspaces) are composed off the spectra on
+    first read and then kept.
     """
 
     t: np.ndarray
     j1: JSpace
     j2: JSpace
-    d_t: np.ndarray
-    d_tstar: np.ndarray
-    jt: np.ndarray
-    jtstar: np.ndarray
-    l_t: np.ndarray
-    l_tstar: np.ndarray
     kappa1: int
     kappa2: int
     spec_t: SpectralDecomposition
     spec_tstar: SpectralDecomposition
+
+    d_t = cached_property(lambda self: self.spec_t.power(0.5))
+    d_tstar = cached_property(lambda self: self.spec_tstar.power(0.5))
+    jt = cached_property(lambda self: self.spec_t.sign())
+    jtstar = cached_property(lambda self: self.spec_tstar.sign())
+    l_t = cached_property(lambda self: self.spec_tstar.pinv_power(0.5) @ self.t @ self.j1.j @ self.d_t)
+    l_tstar = cached_property(lambda self: self.spec_t.pinv_power(0.5) @ self.t.T @ self.j2.j @ self.d_tstar)
 
     @property
     def dim1(self) -> int:
@@ -149,30 +157,23 @@ def _shaped(a, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) -> JContractionData:
-    """Compute defect operators, signatures, indices, and link operators.
+    """Decompose the two defect forms (two ``eigh``, nothing more) and count their indices.
 
-    The link operators are built by Moore-Penrose pseudo-inversion, which
-    realizes the unique operators satisfying the defining relations while
-    vanishing on the defect kernels.  Those relations are asserted by the
-    verifier's link check and :func:`verify_link_identities`, not here.
+    The operators of :class:`JContractionData` are composed when first read.
+    The link operators, by Moore-Penrose pseudo-inversion, are the unique
+    operators satisfying the defining relations while vanishing on the
+    defect kernels; those relations are asserted by the verifier's link
+    check and :func:`verify_link_identities`, not here.
     """
     tol = resolve(tol)
     t_arr = _shaped(t, (j2.dim, j1.dim), "T")
     scale = _defect_scale(t_arr)
     spec1 = _decompose(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, scale)
     spec2 = _decompose(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, scale)
-    d_t = spec1.power(0.5)
-    d_tstar = spec2.power(0.5)
     return JContractionData(
         t=t_arr,
         j1=j1,
         j2=j2,
-        d_t=d_t,
-        d_tstar=d_tstar,
-        jt=spec1.sign(),
-        jtstar=spec2.sign(),
-        l_t=spec2.pinv_power(0.5) @ t_arr @ j1.j @ d_t,
-        l_tstar=spec1.pinv_power(0.5) @ t_arr.T @ j2.j @ d_tstar,
         kappa1=spec1.inertia.n_minus,
         kappa2=spec2.inertia.n_minus,
         spec_t=spec1,
@@ -206,33 +207,38 @@ def verify_link_identities(d: JContractionData, tol: ToleranceProfile | None = N
                         d.t, d.d_t, d.d_tstar) for r in residuals)
 
 
-def _check_parameter(
-    param: np.ndarray,
-    j_source: np.ndarray,
-    j_target: np.ndarray,
-    target: SpectralDecomposition,
-    tol: ToleranceProfile,
-    what: str,
-    exc: type = NotJContractive,
-) -> np.ndarray:
+def _parameter_side(target: SpectralDecomposition, param: np.ndarray, j_source: np.ndarray):
+    """A parameter mapping into a defect subspace, read in the eigenbasis of its defect form.
+
+    ``target`` is that form's spectrum.  Returns the kernel leak
+    ``V_ker Y_ker``, the coordinates ``Y = V^T param`` with the kernel rows
+    zeroed, and the gram ``J_source - Y^T sign(w) Y`` of the cleaned parameter.
+    """
+    leak, y = target._kernel_split(target.eigenvectors.T @ param)
+    return leak, y, symmetrize(j_source - y.T @ (target._sign_values()[:, None] * y))
+
+
+def _half(spec: SpectralDecomposition, y: np.ndarray) -> np.ndarray:
+    """``|M|^{1/2} X`` off the coordinates ``y = V^T X`` in the eigenbasis of ``M``."""
+    return spec._apply(spec._power_values(0.5), y)
+
+
+def _check_parameter(param: np.ndarray, side, tol: ToleranceProfile, what: str,
+                     exc: type = NotJContractive) -> np.ndarray:
     """Validate a J-contractive parameter mapping into a defect subspace.
 
-    ``target`` is the spectrum of the defect form with signature
-    ``j_target``.  The parameter must vanish against its kernel (within the
-    subspace tolerance, after which it is projected exactly) and satisfy
-    ``J_source - P^T J_target P >= 0`` within the order slack.
+    ``side`` is its :func:`_parameter_side`.  The parameter must vanish against
+    the defect kernel (within the subspace tolerance, after which it is
+    projected exactly) and its gram must be nonnegative within the order slack.
     """
-    kernel_projector = np.eye(param.shape[0]) - target.range_projector()
-    leak = kernel_projector @ param
+    leak, _, gram = side
     if not norm_leq(leak, lambda npar: tol.subspace * (1.0 + npar), param):
         raise ParameterInvariantViolated(
             f"{what} has a component of size {norm2(leak):.3e} against the defect kernel"
         )
-    clean = param - leak
-    gram = symmetrize(j_source - clean.T @ j_target @ clean)
     if not loewner_leq(np.zeros_like(gram), gram, tol):
         raise exc(f"{what} is not J-contractive")
-    return clean
+    return param - leak
 
 
 def column_extend(d: JContractionData, k, j2prime: JSpace, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -249,8 +255,9 @@ def column_extend(d: JContractionData, k, j2prime: JSpace, tol: ToleranceProfile
         raise NegativeTargetIndex(
             f"kappa1 = {d.kappa1} is smaller than nu_-(J2') = {d.kappa1 - target}"
         )
-    k_clean = _check_parameter(k_arr, j2prime.j, d.jt, d.spec_t, tol, "K")
-    t_c = np.vstack([d.t, k_clean.T @ d.d_t])
+    side = _parameter_side(d.spec_t, k_arr, j2prime.j)
+    _check_parameter(k_arr, side, tol, "K")
+    t_c = np.vstack([d.t, _half(d.spec_t, side[1]).T])
     j2_ext = _block_diag(d.j2.j, j2prime.j)
     achieved = _inertia(symmetrize(d.j1.j - t_c.T @ j2_ext @ t_c), tol, _defect_scale(t_c)).n_minus
     if achieved != target:
@@ -273,23 +280,19 @@ def extract_column_parameter(t_c, d: JContractionData, tol: ToleranceProfile | N
         raise DimensionMismatch(
             f"column extension has shape {t_c_arr.shape}, expected ({d.dim2}+m, {d.dim1})"
         )
-    c = t_c_arr[d.dim2:, :]
-    k = _defect_solve(d.spec_t, d.d_t, c.T, tol, "C^T")
-    return k
+    return _defect_solve(d.spec_t, t_c_arr[d.dim2:, :].T, tol, "C^T")
 
 
-def _defect_solve(
-    spec: SpectralDecomposition, defect: np.ndarray, rhs: np.ndarray,
-    tol: ToleranceProfile, what: str,
-) -> np.ndarray:
-    """Solve ``defect @ sol = rhs`` with ``defect = |M|^{1/2}`` read off ``spec``."""
-    sol = spec.pinv_power(0.5) @ rhs
-    residual = defect @ sol - rhs
+def _defect_solve(spec: SpectralDecomposition, rhs: np.ndarray, tol: ToleranceProfile, what: str) -> np.ndarray:
+    """``|M|^{[-1/2]} rhs`` off the spectrum ``spec`` of ``M``, if the residual of
+    ``|M|^{1/2} sol = rhs``, the kernel part ``V_ker Y_ker`` of ``rhs``, is small."""
+    y = spec.eigenvectors.T @ rhs
+    residual, _ = spec._kernel_split(y)
     if not norm_leq(residual, lambda nr: tol.residual * (1.0 + nr), rhs):
         raise RangeInclusionFailed(
             f"ran {what} is not contained in the defect subspace (residual {norm2(residual):.3e})"
         )
-    return sol
+    return spec._apply(spec._pinv_values(0.5), y)
 
 
 def row_extend(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -304,8 +307,9 @@ def row_extend(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | 
         raise NegativeTargetIndex(
             f"kappa2 = {d.kappa2} is smaller than nu_-(J1') = {d.kappa2 - target}"
         )
-    b_clean = _check_parameter(b_arr, j1prime.j, d.jtstar, d.spec_tstar, tol, "B")
-    t_r = np.hstack([d.t, d.d_tstar @ b_clean])
+    side = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
+    _check_parameter(b_arr, side, tol, "B")
+    t_r = np.hstack([d.t, _half(d.spec_tstar, side[1])])
     j1_ext = _block_diag(d.j1.j, j1prime.j)
     achieved = _inertia(symmetrize(d.j2.j - t_r @ j1_ext @ t_r.T), tol, _defect_scale(t_r)).n_minus
     if achieved != target:
@@ -324,7 +328,7 @@ def extract_row_parameter(t_r, d: JContractionData, tol: ToleranceProfile | None
             f"row extension has shape {t_r_arr.shape}, expected ({d.dim2}, {d.dim1}+m)"
         )
     r = t_r_arr[:, d.dim1:]
-    return _defect_solve(d.spec_tstar, d.d_tstar, r, tol, "R")
+    return _defect_solve(d.spec_tstar, r, tol, "R")
 
 
 def row_index_formula(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | None = None) -> int:
@@ -336,12 +340,9 @@ def row_index_formula(d: JContractionData, b, j1prime: JSpace, tol: TolerancePro
     """
     tol = resolve(tol)
     b_arr = _shaped(b, (d.dim2, j1prime.dim), "B")
-    kernel_proj = np.eye(d.dim2) - d.spec_tstar.range_projector()
-    b_clean = b_arr - kernel_proj @ b_arr
-    predicted = d.kappa1 + _inertia(
-        symmetrize(j1prime.j - b_clean.T @ d.jtstar @ b_clean), tol, _defect_scale(b_clean)
-    ).n_minus
-    t_r = np.hstack([d.t, d.d_tstar @ b_clean])
+    leak, y, gram = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
+    predicted = d.kappa1 + _inertia(gram, tol, _defect_scale(b_arr - leak)).n_minus
+    t_r = np.hstack([d.t, _half(d.spec_tstar, y)])
     j1_ext = _block_diag(d.j1.j, j1prime.j)
     direct = _inertia(symmetrize(j1_ext - t_r.T @ d.j2.j @ t_r), tol, _defect_scale(t_r)).n_minus
     if predicted != direct:
@@ -358,19 +359,17 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parameter_defects(
-    d: JContractionData,
-    p: LiftParameters,
-    j1prime: JSpace,
-    j2prime: JSpace,
-    tol: ToleranceProfile,
-):
-    """Spectra of the parameter defect forms (source side of gamma1, target side of gamma2)."""
-    g1_gram = symmetrize(j1prime.j - p.gamma1.T @ d.jtstar @ p.gamma1)
-    g2_gram = symmetrize(j2prime.j - p.gamma2 @ d.jt @ p.gamma2.T)
+def _parameter_sides(d: JContractionData, p: LiftParameters, j1prime: JSpace, j2prime: JSpace):
+    """The :func:`_parameter_side` of ``gamma1`` (in ``ran D_T*``) and of ``gamma2^T`` (in ``ran D_T``)."""
+    return (_parameter_side(d.spec_tstar, p.gamma1, j1prime.j),
+            _parameter_side(d.spec_t, p.gamma2.T, j2prime.j))
+
+
+def _parameter_defects(p: LiftParameters, sides, tol: ToleranceProfile):
+    """Spectra of the parameter defect forms, the grams of :func:`_parameter_sides`."""
     return (
-        _decompose(g1_gram, tol, _defect_scale(p.gamma1)),
-        _decompose(g2_gram, tol, _defect_scale(p.gamma2)),
+        _decompose(sides[0][2], tol, _defect_scale(p.gamma1)),
+        _decompose(sides[1][2], tol, _defect_scale(p.gamma2)),
     )
 
 
@@ -390,8 +389,7 @@ def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol
     return targets, counts
 
 
-def _parameter_gate(d: JContractionData, p: LiftParameters, j1prime: JSpace, j2prime: JSpace,
-                    tol: ToleranceProfile) -> tuple[LiftParameters, bool]:
+def _parameter_gate(p: LiftParameters, sides, tol: ToleranceProfile) -> tuple[LiftParameters, bool]:
     """The lifting theorem's conditions: ``gamma1``, ``gamma2^T`` J-contractions into
     the defect subspaces and ``|gamma| <= 1``; raises if they fail beyond the order slack.
 
@@ -401,25 +399,34 @@ def _parameter_gate(d: JContractionData, p: LiftParameters, j1prime: JSpace, j2p
     minimal without a count, since inside the slack they can miss by more than
     its zero threshold.
     """
-    g1 = _check_parameter(p.gamma1, j1prime.j, d.jtstar, d.spec_tstar, tol, "gamma1",
-                          exc=ParameterInvariantViolated)
-    g2t = _check_parameter(p.gamma2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
-                           exc=ParameterInvariantViolated)
+    g1 = _check_parameter(p.gamma1, sides[0], tol, "gamma1", exc=ParameterInvariantViolated)
+    g2t = _check_parameter(p.gamma2.T, sides[1], tol, "gamma2^T", exc=ParameterInvariantViolated)
     if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
-    grams = (j1prime.j - g1.T @ d.jtstar @ g1, j2prime.j - g2t.T @ d.jt @ g2t)
     exact = norm_leq(p.gamma, lambda: 1.0) and all(
-        _order_by_cholesky(symmetrize(gram), (lambda: 0.0,)) for gram in grams
+        _order_by_cholesky(side[2], (lambda: 0.0,)) for side in sides
     )
     return LiftParameters(gamma1=g1, gamma2=g2t.T, gamma=p.gamma), exact
 
 
-def _assemble(d: JContractionData, p: LiftParameters, spec_g1: SpectralDecomposition,
+def _blocks(d: JContractionData, sides):
+    """``D_T* G1``, ``G2 D_T`` and the coupling ``G2 J_T L_T* G1`` of a lifting, off the
+    coordinates ``Y1``, ``Y2`` of :func:`_parameter_sides`; the coupling is
+    ``Y2^T sign(w) |w|^{[-1/2]} V^T T^T J2 D_T* G1`` in the eigenbasis of ``D_T``."""
+    y1, y2 = sides[0][1], sides[1][1]
+    spec = d.spec_t
+    dstar_g1 = _half(d.spec_tstar, y1)
+    inner = spec.eigenvectors.T @ (d.t.T @ (d.j2.j @ dstar_g1))
+    coupling = y2.T @ ((spec._sign_values() * spec._pinv_values(0.5))[:, None] * inner)
+    return dstar_g1, _half(spec, y2).T, coupling
+
+
+def _assemble(d: JContractionData, blocks, gamma: np.ndarray, spec_g1: SpectralDecomposition,
               spec_g2star: SpectralDecomposition) -> np.ndarray:
-    """The block ``[[T, D_T* G1], [G2 D_T, -G2 J_T L_T* G1 + D_G2* G D_G1]]``."""
-    g1, g2 = p.gamma1, p.gamma2
-    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ p.gamma @ spec_g1.power(0.5)
-    return np.block([[d.t, d.d_tstar @ g1], [g2 @ d.d_t, corner]])
+    """The block ``[[T, D_T* G1], [G2 D_T, -G2 J_T L_T* G1 + D_G2* G D_G1]]`` off :func:`_blocks`."""
+    dstar_g1, g2_dt, coupling = blocks
+    corner = -coupling + spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
+    return np.block([[d.t, dstar_g1], [g2_dt, corner]])
 
 
 def lift(
@@ -444,9 +451,10 @@ def lift(
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     if min(targets) < 0:
         raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
-    params, exact = _parameter_gate(d, LiftParameters(gamma1=g1, gamma2=g2, gamma=g),
-                                    j1prime, j2prime, tol)
-    t_tilde = _assemble(d, params, *_parameter_defects(d, params, j1prime, j2prime, tol))
+    params = LiftParameters(gamma1=g1, gamma2=g2, gamma=g)
+    sides = _parameter_sides(d, params, j1prime, j2prime)
+    params, exact = _parameter_gate(params, sides, tol)
+    t_tilde = _assemble(d, _blocks(d, sides), g, *_parameter_defects(params, sides, tol))
     if not exact:
         got = counts(t_tilde)
         if got != targets:
@@ -493,11 +501,13 @@ def extract_lift_parameters(
     x = t_arr[n2:, n1:]
     failure = None
     try:
-        gamma1 = _defect_solve(d.spec_tstar, d.d_tstar, r, tol, "the upper-right block")
-        gamma2 = _defect_solve(d.spec_t, d.d_t, c.T, tol, "the lower-left block transpose").T
+        gamma1 = _defect_solve(d.spec_tstar, r, tol, "the upper-right block")
+        gamma2 = _defect_solve(d.spec_t, c.T, tol, "the lower-left block transpose").T
         params0 = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=np.zeros((n2p, n1p)))
-        spec_g1, spec_g2star = _parameter_defects(d, params0, j1prime, j2prime, tol)
-        residual = x + gamma2 @ d.jt @ d.l_tstar @ gamma1
+        sides = _parameter_sides(d, params0, j1prime, j2prime)
+        spec_g1, spec_g2star = _parameter_defects(params0, sides, tol)
+        blocks = _blocks(d, sides)
+        residual = x + blocks[2]
         gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
         back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
         if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
@@ -505,8 +515,8 @@ def extract_lift_parameters(
                 "the corner residual does not factor through the parameter defects"
             )
         params = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=gamma)
-        if _parameter_gate(d, params, j1prime, j2prime, tol)[1] and norm_leq(
-            _assemble(d, params, spec_g1, spec_g2star) - t_arr,
+        if _parameter_gate(params, sides, tol)[1] and norm_leq(
+            _assemble(d, blocks, gamma, spec_g1, spec_g2star) - t_arr,
             lambda nt: 0.5 * tol.zero * (1.0 + nt), t_arr,
         ):
             return params

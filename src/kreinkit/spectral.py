@@ -140,13 +140,41 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return symmetrize((v * values) @ v.T)
 
+    def _apply(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``V diag(values) y``: for the coordinates ``y = V^T X`` of a block, ``f(A) X``
+        without composing ``f(A)`` (Higham, Functions of Matrices, 2008, ch. 4)."""
+        return self.eigenvectors @ (values[:, None] * y)
+
+    def _kernel_split(self, y: np.ndarray):
+        """The kernel part ``V_ker y_ker`` of the block ``V y``, and ``y`` with its kernel rows zeroed."""
+        kernel = np.abs(self.eigenvalues) <= self.threshold
+        return self.eigenvectors[:, kernel] @ y[kernel], np.where(kernel[:, None], 0.0, y)
+
+    def _sign_values(self) -> np.ndarray:
+        return np.where(self.eigenvalues >= -self.threshold, 1.0, -1.0)
+
+    def _power_values(self, p: float) -> np.ndarray:
+        if p < 0:
+            raise InvalidInput(f"modulus power requires p >= 0, got {p}")
+        w = self.eigenvalues
+        if self.floor > 0.0:
+            w = np.where(np.abs(w) > self.threshold, w, 0.0)
+        return np.abs(w) ** p
+
+    def _pinv_values(self, p: float) -> np.ndarray:
+        if p <= 0:
+            raise InvalidInput(f"Moore-Penrose power requires p > 0, got {p}")
+        absw = np.abs(self.eigenvalues)
+        keep = absw > self.threshold
+        return np.where(keep, np.where(keep, absw, 1.0) ** (-p), 0.0)
+
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return v @ np.diag(self.eigenvalues) @ v.T
 
     def sign(self) -> np.ndarray:
         """Signature involution ``J`` with the kernel signed ``+1``."""
-        return self._compose(np.where(self.eigenvalues >= -self.threshold, 1.0, -1.0))
+        return self._compose(self._sign_values())
 
     def power(self, p: float) -> np.ndarray:
         """``|A|^p`` for ``p >= 0``.
@@ -156,12 +184,7 @@ class SpectralDecomposition:
         matrix that is zero up to roundoff at the caller's scale has an
         exactly vanishing power (fractional powers amplify noise otherwise).
         """
-        if p < 0:
-            raise InvalidInput(f"modulus power requires p >= 0, got {p}")
-        w = self.eigenvalues
-        if self.floor > 0.0:
-            w = np.where(np.abs(w) > self.threshold, w, 0.0)
-        return self._compose(np.abs(w) ** p)
+        return self._compose(self._power_values(p))
 
     def pinv_power(self, p: float) -> np.ndarray:
         """``|A|^{[-p]}``, the Moore-Penrose inverse of ``|A|^p``, for ``p > 0``.
@@ -169,11 +192,7 @@ class SpectralDecomposition:
         Eigenvalues at or below the threshold map to zero, so the result
         vanishes on the kernel of ``A`` and maps into its range.
         """
-        if p <= 0:
-            raise InvalidInput(f"Moore-Penrose power requires p > 0, got {p}")
-        absw = np.abs(self.eigenvalues)
-        keep = absw > self.threshold
-        return self._compose(np.where(keep, np.where(keep, absw, 1.0) ** (-p), 0.0))
+        return self._compose(self._pinv_values(p))
 
     def pinv(self) -> np.ndarray:
         """Sign-respecting Moore-Penrose inverse ``A^+``."""

@@ -402,6 +402,8 @@ def _quasi_extremal(rng, tol, track):
     n2 = int(rng.integers(0, 3))
     col = gens.random_quasicontraction_column(rng, n1, n2)
     pair = extremal_extensions(col, tol)
+    for ext in (pair.t_min, pair.t_max):
+        track.expect(split_counts(ext, tol) == (pair.kappa_minus, pair.kappa_plus))
     track.expect(is_member(pair, pair.t_min, tol))
     track.expect(is_member(pair, pair.t_max, tol))
     track.expect(is_member(pair, symmetrize((pair.t_min + pair.t_max) / 2.0), tol))

@@ -36,9 +36,19 @@ def test_block_keeps_read_only_copies():
     assert np.array_equal(blk.a11, np.diag([1.0, -1.0]))
     assert np.array_equal(blk.a12, [[1.0], [1.0]])
     assert np.array_equal(minimal_completion(blk).a22_min, a22_min)
-    for arr in (blk.a11, blk.a12, minimal_completion(blk).a22_min):
+    for arr in (blk.a11, blk.a12, minimal_completion(blk).a22_min, minimal_completion(blk).j):
         with pytest.raises(ValueError):
             arr[0, 0] = 2.0
+
+
+def test_signature_is_composed_once_on_first_read():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n1 = int(rng.integers(1, 7))
+        blk = gens.random_completable_block(rng, n1, int(rng.integers(1, 5)), int(rng.integers(0, min(n1, 2) + 1)))
+        sol = minimal_completion(blk)
+        j = sol.j
+        assert j.tobytes() == sol.spectrum.sign().tobytes() and sol.j is j
 
 
 def test_completable_examples():

@@ -34,7 +34,7 @@ from kreinkit.relations import (
     relation_inertia,
     relation_leq,
 )
-from kreinkit.spectral import inertia_of, loewner_leq, negativity, symmetrize
+from kreinkit.spectral import SpectralDecomposition, inertia_of, loewner_leq, negativity, symmetrize
 
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
@@ -145,10 +145,12 @@ def test_split_counts_decomposes_t_once(decompositions):
     assert _count(decompositions, split_counts, T + T.T) == 1
 
 
-def test_extremal_extensions_decomposes_the_head_defect_once(eigh_calls, norm2_calls):
-    # only T11: I - T1^T T1 and the split counts of both extremes are counts,
-    # off eigvalsh, and the floor (1 + |T1|)^2 is bracketed from |T1|_F
-    assert _count(eigh_calls, extremal_extensions, COLUMN) == 1
+def test_extremal_extensions_decomposes_the_head_defect_once(eigh_calls, eigvalsh_calls, norm2_calls):
+    # one eigh of T11 and one count of I - T1^T T1, off eigvalsh; nothing of
+    # the extremes' size, whose split counts verify and the tests assert, and
+    # the floor (1 + |T1|)^2 is bracketed from |T1|_F
+    extremal_extensions(COLUMN)
+    assert eigh_calls == [(2, 2)] and eigvalsh_calls == [(2, 2)]
     assert _count(norm2_calls, extremal_extensions, COLUMN) == 0
 
 
@@ -192,6 +194,65 @@ def test_lifting_indices_decompose_nothing_of_the_lifting_size(
         assert lifted.shape not in norm2_calls
 
 
+@pytest.fixture
+def compose_sizes(monkeypatch):
+    """Sizes of the matrices ``SpectralDecomposition._compose`` builds."""
+    sizes = []
+    original = SpectralDecomposition._compose
+
+    def recording(self, values):
+        sizes.append(values.size)
+        return original(self, values)
+
+    monkeypatch.setattr(SpectralDecomposition, "_compose", recording)
+    return sizes
+
+
+def _desk_lift_instance():
+    rng = np.random.default_rng(2)
+    while (instance := gens.random_lift_instance(rng, 250, 250, 20, 20)) is None:
+        pass
+    return instance
+
+
+def test_desk_liftings_compose_and_factor_nothing_of_the_base_size(
+    compose_sizes, eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls
+):
+    d, params, j1p, j2p = _desk_lift_instance()
+    factored = (eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls)
+
+    def run(fn, *args):
+        for calls in (compose_sizes, *factored):
+            calls.clear()
+        return fn(*args)
+
+    def nothing_of_the_base_size():
+        return max(compose_sizes, default=0) < 250 and all(
+            max(shape) < 250 for calls in factored for shape in calls
+        )
+
+    data = run(defect_data, d.t, d.j1, d.j2)
+    # the two defect forms' eigh, and no operator composed off them
+    assert eigh_calls == [(250, 250), (250, 250)] and not compose_sizes
+    lifted = run(lift, data, params, j1p, j2p)
+    assert nothing_of_the_base_size()
+    run(extract_lift_parameters, lifted, data, j1p, j2p)
+    assert nothing_of_the_base_size()
+    # none of the six defect operators was composed on that path
+    assert not {"d_t", "d_tstar", "jt", "jtstar", "l_t", "l_tstar"} & set(vars(data))
+
+
+def test_desk_completion_composes_nothing_of_the_block_size(compose_sizes):
+    blk = gens.random_completable_block(np.random.default_rng(3), 250, 250, 3, 1)
+    compose_sizes.clear()
+    sol = minimal_completion(blk)
+    assert not compose_sizes and sol.kappa == 3
+    # the signature is composed when first read, and only then
+    sol.j
+    sol.j
+    assert compose_sizes == [250]
+
+
 def _write_documents(tmp_path, **docs):
     paths = []
     for name, doc in docs.items():
@@ -207,7 +268,7 @@ def test_extremes_command_builds_the_pair_once(decompositions, tmp_path, capsys)
     )
     decompositions.clear()
     assert main(["extremes", *paths]) == 0
-    assert len(decompositions) == 4
+    assert len(decompositions) == 2
     assert json.loads(capsys.readouterr().out)["unique"] is False
 
 

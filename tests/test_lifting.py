@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -21,10 +20,12 @@ from kreinkit.factor import JSpace
 from kreinkit.lifting import (
     LiftParameters,
     _assemble,
+    _blocks,
     _check_parameter,
     _defect_solve,
     _extended_indices,
     _parameter_defects,
+    _parameter_sides,
     column_extend,
     defect_data,
     extract_column_parameter,
@@ -106,10 +107,37 @@ def test_defect_spectra_give_the_bases_of_direct_decompositions():
             assert all(np.array_equal(a, b) for a, b in zip(spec.bases(), bases))
 
 
+def test_defect_operators_are_composed_once_by_their_expressions():
+    # defect_data keeps the spectra; each operator is composed on first read,
+    # by the expression defect_data once evaluated eagerly, and then kept
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        n1, n2 = (int(k) for k in rng.integers(1, 7, size=2))
+        j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
+        j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
+        t = rng.standard_normal((n2, n1)) * 1.2
+        d = defect_data(t, j1, j2)
+        s1, s2 = d.spec_t, d.spec_tstar
+        d_t, d_tstar = s1.power(0.5), s2.power(0.5)
+        expected = {
+            "d_t": d_t,
+            "d_tstar": d_tstar,
+            "jt": s1.sign(),
+            "jtstar": s2.sign(),
+            "l_t": s2.pinv_power(0.5) @ t @ j1.j @ d_t,
+            "l_tstar": s1.pinv_power(0.5) @ t.T @ j2.j @ d_tstar,
+        }
+        for name, value in expected.items():
+            first = getattr(d, name)
+            assert first.tobytes() == value.tobytes() and getattr(d, name) is first, name
+
+
 def test_link_identities():
     assert verify_link_identities(scalar_data(2.0))
     assert verify_link_identities(scalar_data(0.0))
-    corrupted = dataclasses.replace(scalar_data(2.0), l_t=np.array([[2.1]]))
+    # l_t is composed on first read and kept on the instance, so set it there
+    corrupted = scalar_data(2.0)
+    object.__setattr__(corrupted, "l_t", np.array([[2.1]]))
     assert not verify_link_identities(corrupted)
 
 
@@ -333,11 +361,12 @@ def _reference_extract_lift_parameters(t_tilde, d, j1prime, j2prime, tol=None):
     r = t_arr[:n2, n1:]
     c = t_arr[n2:, :n1]
     x = t_arr[n2:, n1:]
-    gamma1 = _defect_solve(d.spec_tstar, d.d_tstar, r, tol, "the upper-right block")
-    gamma2 = _defect_solve(d.spec_t, d.d_t, c.T, tol, "the lower-left block transpose").T
+    gamma1 = _defect_solve(d.spec_tstar, r, tol, "the upper-right block")
+    gamma2 = _defect_solve(d.spec_t, c.T, tol, "the lower-left block transpose").T
     params0 = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=np.zeros((n2p, n1p)))
-    spec_g1, spec_g2star = _parameter_defects(d, params0, j1prime, j2prime, tol)
-    residual = x + gamma2 @ d.jt @ d.l_tstar @ gamma1
+    sides = _parameter_sides(d, params0, j1prime, j2prime)
+    spec_g1, spec_g2star = _parameter_defects(params0, sides, tol)
+    residual = x + _blocks(d, sides)[2]
     gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
     back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
     if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
@@ -354,19 +383,13 @@ def _reference_lift(d, p, j1prime, j2prime, tol=None):
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     if min(targets) < 0:
         raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
-    g1 = _check_parameter(p.gamma1, j1prime.j, d.jtstar, d.spec_tstar, tol, "gamma1",
-                          exc=ParameterInvariantViolated)
-    g2t = _check_parameter(p.gamma2.T, j2prime.j, d.jt, d.spec_t, tol, "gamma2^T",
-                           exc=ParameterInvariantViolated)
-    g2 = g2t.T
+    sides = _parameter_sides(d, p, j1prime, j2prime)
+    g1 = _check_parameter(p.gamma1, sides[0], tol, "gamma1", exc=ParameterInvariantViolated)
+    g2t = _check_parameter(p.gamma2.T, sides[1], tol, "gamma2^T", exc=ParameterInvariantViolated)
     if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
-    params = LiftParameters(gamma1=g1, gamma2=g2, gamma=p.gamma)
-    spec_g1, spec_g2star = _parameter_defects(d, params, j1prime, j2prime, tol)
-    corner = -g2 @ d.jt @ d.l_tstar @ g1 + spec_g2star.power(0.5) @ p.gamma @ spec_g1.power(0.5)
-    top = np.hstack([d.t, d.d_tstar @ g1])
-    bottom = np.hstack([g2 @ d.d_t, corner])
-    t_tilde = np.vstack([top, bottom])
+    params = LiftParameters(gamma1=g1, gamma2=g2t.T, gamma=p.gamma)
+    t_tilde = _assemble(d, _blocks(d, sides), p.gamma, *_parameter_defects(params, sides, tol))
     got = counts(t_tilde)
     if got != targets:
         raise ConsistencyError(f"lifting indices {got} differ from targets {targets}")
@@ -375,7 +398,8 @@ def _reference_lift(d, p, j1prime, j2prime, tol=None):
 
 def _assemble_ungated(d, p, j1p, j2p):
     """``lift``'s block formula without its parameter gate."""
-    return _assemble(d, p, *_parameter_defects(d, p, j1p, j2p, resolve(None)))
+    sides = _parameter_sides(d, p, j1p, j2p)
+    return _assemble(d, _blocks(d, sides), p.gamma, *_parameter_defects(p, sides, resolve(None)))
 
 
 def _boundary_lift_instance(rng, n1, n2, n1p, n2p):
@@ -410,9 +434,8 @@ def _boundary_lift_instance(rng, n1, n2, n1p, n2p):
         g2 = gens.random_j_contraction_into(rng, j2p.j, plus1, minus1, unit_directions=units()).T
     except ValueError:
         return None
-    spec_g1, spec_g2star = _parameter_defects(
-        d, LiftParameters(g1, g2, np.zeros((n2p, n1p))), j1p, j2p, resolve(None)
-    )
+    p0 = LiftParameters(g1, g2, np.zeros((n2p, n1p)))
+    spec_g1, spec_g2star = _parameter_defects(p0, _parameter_sides(d, p0, j1p, j2p), resolve(None))
     g = (
         projector(orthonormal_columns(spec_g2star.power(0.5)))
         @ gens.random_contraction(rng, n2p, n1p, 0.85)

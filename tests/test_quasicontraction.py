@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kreinkit import gens
+from kreinkit import gens, quasicontraction
+from kreinkit.cli import main
 from kreinkit.errors import NotAnExtension, NotSolvable
 from kreinkit.quasicontraction import (
     SymmetricColumn,
@@ -67,6 +68,9 @@ def test_counts_read_off_one_spectrum_match_direct_decompositions():
             direct = tuple(negativity(symmetrize(eye + s * t), tol, floor=floor) for s in (1.0, -1.0))
             assert split_counts(t, tol) == direct
         assert (pair.kappa_minus, pair.kappa_plus) == split_counts(col.t11, tol)
+        # extremal_extensions does not count its extremes; both keep the column's split counts
+        for ext in (pair.t_min, pair.t_max):
+            assert split_counts(ext, tol) == (pair.kappa_minus, pair.kappa_plus)
         assert solvable(col, tol)
 
 
@@ -88,6 +92,9 @@ def test_all_pinned_columns_split_with_counts_of_direct_decompositions():
             direct = tuple(negativity(symmetrize(eye + s * t), tol, floor=floor) for s in (1.0, -1.0))
             assert split_counts(t, tol) == direct
         assert (pair.kappa_minus, pair.kappa_plus) == split_counts(col.t11, tol)
+        # extremal_extensions does not count its extremes; both keep the column's split counts
+        for ext in (pair.t_min, pair.t_max):
+            assert split_counts(ext, tol) == (pair.kappa_minus, pair.kappa_plus)
         assert solvable(col, tol)
 
 
@@ -236,3 +243,39 @@ def test_nonsolvable_columns_admit_no_extension():
             ])
             floor = (1.0 + norm2(full)) ** 2
             assert nu_minus(eye - full @ full, scale_floor=floor) > kappa
+
+
+def _verify_quasicontraction(monkeypatch, capsys, mutate):
+    """``kreinkit verify --suite quasicontraction`` with ``_extremal_blocks``'s
+    extremes edited in place by ``mutate(ext, n1)``; returns the failing check names."""
+    original = quasicontraction._extremal_blocks
+
+    def mutated(t11, t21, defect):
+        t_min, t_max, v, j, coupling = original(t11, t21, defect)
+        for ext in (t_min, t_max):
+            mutate(ext, t11.shape[0])
+        return t_min, t_max, v, j, coupling
+
+    monkeypatch.setattr(quasicontraction, "_extremal_blocks", mutated)
+    assert main(["verify", "--suite", "quasicontraction", "--seed", "3", "--cases", "20"]) == 1
+    return {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")}
+
+
+def test_verify_names_the_check_a_negated_coupling_fails(monkeypatch, capsys):
+    # the extremes no longer extend the column, so the interval's members are
+    # refused as non-extensions; the library's own coupling check still passes
+    def negate(ext, n1):
+        ext[:n1, n1:] *= -1.0
+        ext[n1:, :n1] *= -1.0
+
+    assert "quasicontraction.interval_index_agreement" in _verify_quasicontraction(monkeypatch, capsys, negate)
+
+
+def test_verify_counts_the_extremes_split_counts(monkeypatch, capsys):
+    # both corners lowered alike: the gap, the membership of the extremes and
+    # their order are intact, and only the split counts of the extremes, which
+    # extremal_extensions leaves to the verifier, catch it
+    def lower(ext, n1):
+        ext[n1:, n1:] -= 0.5 * np.eye(ext.shape[0] - n1)
+
+    assert "quasicontraction.extremal_membership" in _verify_quasicontraction(monkeypatch, capsys, lower)
