@@ -42,8 +42,10 @@ class NotJContractive(KreinkitError):
     """An operator or parameter required to be a J-contraction is not."""
 
 
-class NegativeTargetIndex(KreinkitError):
-    """The requested extension index would be negative."""
+class NegativeTargetIndex(HypothesisViolated):
+    """A minimal extended index ``kappa1 - nu_-(J2')`` or ``kappa2 - nu_-(J1')`` of a
+    lifting or extension would be negative: the exit symmetry has more negative
+    directions than the defect form it must fit into."""
 
 
 class RangeInclusionFailed(KreinkitError):

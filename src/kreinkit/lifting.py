@@ -8,13 +8,13 @@ they are the unique operators with ``D_T* L_T = T J1 D_T`` on ``ran D_T``
 and ``D_T L_T* = T^T J2 D_T*`` on ``ran D_T*``, realized here directly by
 Moore-Penrose construction.
 
-Column extensions ``[T; K^T D_T]`` and row extensions ``[T, D_T* B]``
-attain the minimal extended negative index exactly for J-contractive
-parameters, and the general 2x2 lifting is parametrized by a triplet
-``(Gamma1, Gamma2, Gamma)`` with explicit inverse maps.  A lifting is
-decided by its triplet on exit-sized matrices; the lifting's indices are
-counted only where the triplet misses the theorem's conditions or meets them
-only within the order slack.
+The 2x2 lifting is parametrized by a triplet ``(Gamma1, Gamma2, Gamma)``
+with explicit inverse maps and attains the minimal extended negative indices
+exactly for J-contractive parameters; column extensions ``[T; K^T D_T]`` and
+row extensions ``[T, D_T* B]`` are the liftings of ``(0, K^T, 0)`` and
+``(B, 0, 0)`` with the other exit empty (Arsene, Constantinescu & Gheondea,
+Michigan Math. J., 1987).  All three are decided by the triplet through one
+gate, and count their indices only where it passes only within its slack.
 
 Operators nominally defined on a defect subspace are stored as full-space
 matrices vanishing on the orthogonal complement; that normalization makes
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
-    HypothesisViolated,
     IndexMismatch,
     NegativeTargetIndex,
     NotALifting,
@@ -218,13 +217,7 @@ def _parameter_side(target: SpectralDecomposition, param: np.ndarray, j_source: 
     return leak, y, symmetrize(j_source - y.T @ (target._sign_values()[:, None] * y))
 
 
-def _half(spec: SpectralDecomposition, y: np.ndarray) -> np.ndarray:
-    """``|M|^{1/2} X`` off the coordinates ``y = V^T X`` in the eigenbasis of ``M``."""
-    return spec._apply(spec._power_values(0.5), y)
-
-
-def _check_parameter(param: np.ndarray, side, tol: ToleranceProfile, what: str,
-                     exc: type = NotJContractive) -> np.ndarray:
+def _check_parameter(param: np.ndarray, side, tol: ToleranceProfile, what: str, exc: type) -> np.ndarray:
     """Validate a J-contractive parameter mapping into a defect subspace.
 
     ``side`` is its :func:`_parameter_side`.  The parameter must vanish against
@@ -244,27 +237,14 @@ def _check_parameter(param: np.ndarray, side, tol: ToleranceProfile, what: str,
 def column_extend(d: JContractionData, k, j2prime: JSpace, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Extend ``T`` by a row block ``K^T D_T`` below, at minimal index.
 
-    ``K`` maps the exit space into the defect subspace of ``T`` and must be
-    J-contractive there; the extended defect form then has negative index
-    ``kappa1 - nu_-(J2')``, which is asserted by eigenvalue count.
+    The lifting of ``(0, K^T, 0)`` with an empty first exit: ``K`` maps the exit
+    space into the defect subspace of ``T`` and must be J-contractive there
+    (:class:`NotJContractive`); the extended index is then ``kappa1 - nu_-(J2')``.
     """
     tol = resolve(tol)
     k_arr = _shaped(k, (d.dim1, j2prime.dim), "K")
-    target = d.kappa1 - j2prime.negativity(tol)
-    if target < 0:
-        raise NegativeTargetIndex(
-            f"kappa1 = {d.kappa1} is smaller than nu_-(J2') = {d.kappa1 - target}"
-        )
-    side = _parameter_side(d.spec_t, k_arr, j2prime.j)
-    _check_parameter(k_arr, side, tol, "K")
-    t_c = np.vstack([d.t, _half(d.spec_t, side[1]).T])
-    j2_ext = _block_diag(d.j2.j, j2prime.j)
-    achieved = _inertia(symmetrize(d.j1.j - t_c.T @ j2_ext @ t_c), tol, _defect_scale(t_c)).n_minus
-    if achieved != target:
-        raise ConsistencyError(
-            f"column extension index {achieved} differs from target {target}"
-        )
-    return t_c
+    params = LiftParameters(np.zeros((d.dim2, 0)), k_arr.T, np.zeros((j2prime.dim, 0)))
+    return _lift(d, params, JSpace.identity(0), j2prime, tol, NotJContractive)
 
 
 def extract_column_parameter(t_c, d: JContractionData, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -298,25 +278,13 @@ def _defect_solve(spec: SpectralDecomposition, rhs: np.ndarray, tol: TolerancePr
 def row_extend(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Extend ``T`` by a column block ``D_T* B`` on the right, at minimal index.
 
-    Mirror image of :func:`column_extend` under adjoint duality.
+    Mirror image of :func:`column_extend`: the lifting of ``(B, 0, 0)`` with an
+    empty second exit, at the minimal index ``kappa2 - nu_-(J1')``.
     """
     tol = resolve(tol)
     b_arr = _shaped(b, (d.dim2, j1prime.dim), "B")
-    target = d.kappa2 - j1prime.negativity(tol)
-    if target < 0:
-        raise NegativeTargetIndex(
-            f"kappa2 = {d.kappa2} is smaller than nu_-(J1') = {d.kappa2 - target}"
-        )
-    side = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
-    _check_parameter(b_arr, side, tol, "B")
-    t_r = np.hstack([d.t, _half(d.spec_tstar, side[1])])
-    j1_ext = _block_diag(d.j1.j, j1prime.j)
-    achieved = _inertia(symmetrize(d.j2.j - t_r @ j1_ext @ t_r.T), tol, _defect_scale(t_r)).n_minus
-    if achieved != target:
-        raise ConsistencyError(
-            f"row extension index {achieved} differs from target {target}"
-        )
-    return t_r
+    params = LiftParameters(b_arr, np.zeros((0, d.dim1)), np.zeros((0, j1prime.dim)))
+    return _lift(d, params, j1prime, JSpace.identity(0), tol, NotJContractive)
 
 
 def extract_row_parameter(t_r, d: JContractionData, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -332,24 +300,15 @@ def extract_row_parameter(t_r, d: JContractionData, tol: ToleranceProfile | None
 
 
 def row_index_formula(d: JContractionData, b, j1prime: JSpace, tol: ToleranceProfile | None = None) -> int:
-    """Extended index of a row extension for an arbitrary parameter ``B``.
+    """Extended index of the row extension ``[T, D_T* B]`` for an arbitrary parameter ``B``.
 
-    Returns ``kappa1 + nu_-(J1' - B^T J_T* B)`` and asserts it equals the
-    direct eigenvalue count on the assembled row; J-contractivity of ``B``
-    is exactly the case of no increase.
+    Returns ``kappa1 + nu_-(J1' - B^T J_T* B)``, read off the parameter's gram
+    alone; J-contractivity of ``B`` is exactly the case of no increase.
     """
     tol = resolve(tol)
     b_arr = _shaped(b, (d.dim2, j1prime.dim), "B")
-    leak, y, gram = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
-    predicted = d.kappa1 + _inertia(gram, tol, _defect_scale(b_arr - leak)).n_minus
-    t_r = np.hstack([d.t, _half(d.spec_tstar, y)])
-    j1_ext = _block_diag(d.j1.j, j1prime.j)
-    direct = _inertia(symmetrize(j1_ext - t_r.T @ d.j2.j @ t_r), tol, _defect_scale(t_r)).n_minus
-    if predicted != direct:
-        raise ConsistencyError(
-            f"row index formula predicted {predicted} but direct count is {direct}"
-        )
-    return predicted
+    leak, _, gram = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
+    return d.kappa1 + _inertia(gram, tol, _defect_scale(b_arr - leak)).n_minus
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,9 +348,11 @@ def _extended_indices(d: JContractionData, j1prime: JSpace, j2prime: JSpace, tol
     return targets, counts
 
 
-def _parameter_gate(p: LiftParameters, sides, tol: ToleranceProfile) -> tuple[LiftParameters, bool]:
+def _parameter_gate(p: LiftParameters, sides, tol: ToleranceProfile,
+                    exc: type = ParameterInvariantViolated) -> tuple[LiftParameters, bool]:
     """The lifting theorem's conditions: ``gamma1``, ``gamma2^T`` J-contractions into
-    the defect subspaces and ``|gamma| <= 1``; raises if they fail beyond the order slack.
+    the defect subspaces and ``|gamma| <= 1``; raises if they fail beyond the order
+    slack, ``exc`` for a parameter that is not J-contractive.
 
     Returns the triplet with ``gamma1``, ``gamma2^T`` projected onto the defect
     subspaces, and whether it meets them with no slack (the parameter defect
@@ -399,8 +360,8 @@ def _parameter_gate(p: LiftParameters, sides, tol: ToleranceProfile) -> tuple[Li
     minimal without a count, since inside the slack they can miss by more than
     its zero threshold.
     """
-    g1 = _check_parameter(p.gamma1, sides[0], tol, "gamma1", exc=ParameterInvariantViolated)
-    g2t = _check_parameter(p.gamma2.T, sides[1], tol, "gamma2^T", exc=ParameterInvariantViolated)
+    g1 = _check_parameter(p.gamma1, sides[0], tol, "gamma1", exc)
+    g2t = _check_parameter(p.gamma2.T, sides[1], tol, "gamma2^T", exc)
     if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
     exact = norm_leq(p.gamma, lambda: 1.0) and all(
@@ -415,10 +376,10 @@ def _blocks(d: JContractionData, sides):
     ``Y2^T sign(w) |w|^{[-1/2]} V^T T^T J2 D_T* G1`` in the eigenbasis of ``D_T``."""
     y1, y2 = sides[0][1], sides[1][1]
     spec = d.spec_t
-    dstar_g1 = _half(d.spec_tstar, y1)
+    dstar_g1 = d.spec_tstar._apply(d.spec_tstar._power_values(0.5), y1)
     inner = spec.eigenvectors.T @ (d.t.T @ (d.j2.j @ dstar_g1))
     coupling = y2.T @ ((spec._sign_values() * spec._pinv_values(0.5))[:, None] * inner)
-    return dstar_g1, _half(spec, y2).T, coupling
+    return dstar_g1, spec._apply(spec._power_values(0.5), y2).T, coupling
 
 
 def _assemble(d: JContractionData, blocks, gamma: np.ndarray, spec_g1: SpectralDecomposition,
@@ -448,13 +409,18 @@ def lift(
     g1 = _shaped(p.gamma1, (d.dim2, j1prime.dim), "gamma1")
     g2 = _shaped(p.gamma2, (j2prime.dim, d.dim1), "gamma2")
     g = _shaped(p.gamma, (j2prime.dim, j1prime.dim), "gamma")
+    return _lift(d, LiftParameters(g1, g2, g), j1prime, j2prime, tol)
+
+
+def _lift(d: JContractionData, p: LiftParameters, j1prime: JSpace, j2prime: JSpace,
+          tol: ToleranceProfile, exc: type = ParameterInvariantViolated) -> np.ndarray:
+    """:func:`lift` of a shaped triplet, ``exc`` passed to :func:`_parameter_gate`."""
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     if min(targets) < 0:
-        raise HypothesisViolated(f"minimal indices {targets} must be nonnegative")
-    params = LiftParameters(gamma1=g1, gamma2=g2, gamma=g)
-    sides = _parameter_sides(d, params, j1prime, j2prime)
-    params, exact = _parameter_gate(params, sides, tol)
-    t_tilde = _assemble(d, _blocks(d, sides), g, *_parameter_defects(params, sides, tol))
+        raise NegativeTargetIndex(f"minimal indices {targets} must be nonnegative")
+    sides = _parameter_sides(d, p, j1prime, j2prime)
+    gated, exact = _parameter_gate(p, sides, tol, exc)
+    t_tilde = _assemble(d, _blocks(d, sides), p.gamma, *_parameter_defects(gated, sides, tol))
     if not exact:
         got = counts(t_tilde)
         if got != targets:

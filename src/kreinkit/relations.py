@@ -216,8 +216,9 @@ class LinearRelation:
 
     # -- calculus -------------------------------------------------------
 
-    def adjoint(self, tol: ToleranceProfile | None = None) -> "LinearRelation":
-        """Adjoint relation: the orthogonal complement of the flipped graph."""
+    def adjoint(self) -> "LinearRelation":
+        """Adjoint relation: the orthogonal complement of the flipped graph, whose basis
+        ``[F'; -F]`` is orthonormal, so no rank is decided and no profile is read."""
         flipped = np.vstack([self.second, -self.first])
         return LinearRelation(self.space_dim, complement_basis(flipped, 2 * self.space_dim))
 

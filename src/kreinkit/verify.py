@@ -297,6 +297,9 @@ def _lifting_column_row(rng, tol, track):
         return
     t_c = column_extend(d, k, j2p, tol)
     track.bound(norm2(extract_column_parameter(t_c, d, tol) - k) / (1.0 + norm2(k)), 1e-8)
+    # an extension is a lifting with an empty exit: both its indices are minimal
+    targets, counts = _extended_indices(d, JSpace.identity(0), j2p, tol)
+    track.expect(counts(t_c) == targets)
     j1p = JSpace.from_matrix(
         gens.random_symmetry(rng, m, int(rng.integers(0, min(d.kappa2, m) + 1)))
     )
@@ -307,9 +310,12 @@ def _lifting_column_row(rng, tol, track):
         return
     t_r = row_extend(d, b, j1p, tol)
     track.bound(norm2(extract_row_parameter(t_r, d, tol) - b) / (1.0 + norm2(b)), 1e-8)
+    targets, counts = _extended_indices(d, j1p, JSpace.identity(0), tol)
+    track.expect(counts(t_r) == targets)
     # index formula for an arbitrary, generally non-contractive parameter
     b_arb = rng.standard_normal((d.dim2, m))
-    row_index_formula(d, b_arb, j1p, tol)
+    direct = counts(np.hstack([d.t, d.d_tstar @ b_arb]))[0]
+    track.expect(row_index_formula(d, b_arb, j1p, tol) == direct)
 
 
 def _lifting_roundtrip(rng, tol, track):

@@ -20,11 +20,14 @@ from kreinkit.factor import JSpace
 from kreinkit.lifting import (
     LiftParameters,
     _assemble,
+    _block_diag,
     _blocks,
     _check_parameter,
     _defect_solve,
     _extended_indices,
+    _defect_scale,
     _parameter_defects,
+    _parameter_side,
     _parameter_sides,
     column_extend,
     defect_data,
@@ -40,6 +43,7 @@ from kreinkit.lifting import (
     verify_link_identities,
 )
 from kreinkit.spectral import (
+    _inertia,
     as_matrix,
     norm2,
     norm_leq,
@@ -224,11 +228,22 @@ def test_row_index_formula_examples():
     assert row_index_formula(d, np.array([[2.0]]), J1) == 1
     assert row_index_formula(d, np.array([[0.5]]), J1) == d.kappa1
     assert row_index_formula(d, np.zeros((1, 1)), J1) == d.kappa1
+    # the formula is the first index of the assembled row [T, D_T* B], counted directly
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        n1, n2, m = (int(x) for x in rng.integers(1, 5, 3))
+        j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
+        j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
+        d = defect_data(rng.standard_normal((n2, n1)) * 1.2, j1, j2)
+        j1p = JSpace.from_matrix(gens.random_symmetry(rng, m, int(rng.integers(0, m + 1))))
+        _, counts = _extended_indices(d, j1p, JSpace.identity(0), resolve(None))
+        for b in (rng.standard_normal((n2, m)), np.zeros((n2, m))):
+            assert row_index_formula(d, b, j1p) == counts(np.hstack([d.t, d.d_tstar @ b]))[0]
 
 
 def test_extension_roundtrip_property():
     rng = np.random.default_rng(31)
-    done = 0
+    done = rows = 0
     while done < 60:
         n1 = int(rng.integers(1, 5))
         n2 = int(rng.integers(1, 5))
@@ -249,7 +264,141 @@ def test_extension_roundtrip_property():
             continue
         t_c = column_extend(d, k, j2p)
         assert norm2(extract_column_parameter(t_c, d) - k) <= 1e-8 * (1.0 + norm2(k))
+        targets, counts = _extended_indices(d, JSpace.identity(0), j2p, resolve(None))
+        assert counts(t_c) == targets
         done += 1
+        j1p = JSpace.from_matrix(
+            gens.random_symmetry(rng, m, int(rng.integers(0, min(d.kappa2, m) + 1)))
+        )
+        plus, minus, _ = d.spec_tstar.bases()
+        try:
+            b = gens.random_j_contraction_into(rng, j1p.j, plus, minus)
+        except ValueError:
+            continue
+        t_r = row_extend(d, b, j1p)
+        assert norm2(extract_row_parameter(t_r, d) - b) <= 1e-8 * (1.0 + norm2(b))
+        targets, counts = _extended_indices(d, j1p, JSpace.identity(0), resolve(None))
+        assert counts(t_r) == targets
+        rows += 1
+    assert rows >= 30
+
+
+def _half(spec, y):
+    return spec._apply(spec._power_values(0.5), y)
+
+
+def _reference_column_extend(d, k, j2prime, tol=None):
+    """``column_extend`` as it stood as a construction of its own, before it was
+    a lifting with an empty exit: it counts the extended index on every call."""
+    tol = resolve(tol)
+    k_arr = as_matrix(k)
+    target = d.kappa1 - j2prime.negativity(tol)
+    if target < 0:
+        raise NegativeTargetIndex(
+            f"kappa1 = {d.kappa1} is smaller than nu_-(J2') = {d.kappa1 - target}"
+        )
+    side = _parameter_side(d.spec_t, k_arr, j2prime.j)
+    _check_parameter(k_arr, side, tol, "K", NotJContractive)
+    t_c = np.vstack([d.t, _half(d.spec_t, side[1]).T])
+    j2_ext = _block_diag(d.j2.j, j2prime.j)
+    achieved = _inertia(symmetrize(d.j1.j - t_c.T @ j2_ext @ t_c), tol, _defect_scale(t_c)).n_minus
+    if achieved != target:
+        raise ConsistencyError(f"column extension index {achieved} differs from target {target}")
+    return t_c
+
+
+def _reference_row_extend(d, b, j1prime, tol=None):
+    """``row_extend`` as it stood before it was a lifting with an empty exit."""
+    tol = resolve(tol)
+    b_arr = as_matrix(b)
+    target = d.kappa2 - j1prime.negativity(tol)
+    if target < 0:
+        raise NegativeTargetIndex(
+            f"kappa2 = {d.kappa2} is smaller than nu_-(J1') = {d.kappa2 - target}"
+        )
+    side = _parameter_side(d.spec_tstar, b_arr, j1prime.j)
+    _check_parameter(b_arr, side, tol, "B", NotJContractive)
+    t_r = np.hstack([d.t, _half(d.spec_tstar, side[1])])
+    j1_ext = _block_diag(d.j1.j, j1prime.j)
+    achieved = _inertia(symmetrize(d.j2.j - t_r @ j1_ext @ t_r.T), tol, _defect_scale(t_r)).n_minus
+    if achieved != target:
+        raise ConsistencyError(f"row extension index {achieved} differs from target {target}")
+    return t_r
+
+
+def _extension_parameter(rng, j_exit, spec):
+    """A parameter into the defect subspace of ``spec``: J-contractive, scaled past
+    J-contractivity, or drawn at random (generally off the subspace and not contractive)."""
+    kind = int(rng.integers(0, 3))
+    if kind < 2:
+        plus, minus, _ = spec.bases()
+        try:
+            p = gens.random_j_contraction_into(rng, j_exit, plus, minus, unit_directions=(
+                int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+        except ValueError:
+            kind = 2
+        else:
+            return p * rng.uniform(1.5, 4.0) if kind == 1 else p
+    return rng.standard_normal((spec.eigenvalues.size, j_exit.shape[0]))
+
+
+def test_extensions_are_the_liftings_of_their_reference_constructions():
+    rng = np.random.default_rng(36)
+    outcomes = Counter()
+    for case in range(400):
+        n1, n2 = (int(x) for x in rng.integers(1, 5, 2))
+        m = int(rng.integers(1, 4))
+        if case % 2:
+            # a J-contraction with pinned unit singular values: the defects have kernels
+            k = int(rng.integers(0, min(n1, n2) + 1))
+            j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, k))
+            j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(k, n2 + 1))))
+            plus, minus, _ = signed_eigenbases(j2.j)
+            try:
+                t = gens.random_j_contraction_into(rng, j1.j, plus, minus, unit_directions=(1, 1))
+            except ValueError:
+                continue
+        else:
+            j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
+            j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
+            t = rng.standard_normal((n2, n1)) * 1.2
+        d = defect_data(t, j1, j2)
+        # exit symmetries up to one negative direction more than the defect form holds
+        j2p = JSpace.from_matrix(gens.random_symmetry(rng, m, int(rng.integers(0, min(d.kappa1 + 1, m) + 1))))
+        j1p = JSpace.from_matrix(gens.random_symmetry(rng, m, int(rng.integers(0, min(d.kappa2 + 1, m) + 1))))
+        calls = (
+            (column_extend, _reference_column_extend, _extension_parameter(rng, j2p.j, d.spec_t), j2p),
+            (row_extend, _reference_row_extend, _extension_parameter(rng, j1p.j, d.spec_tstar), j1p),
+        )
+        for call, reference, param, exit_space in calls:
+            got = _outcome(call, d, param, exit_space)
+            expected = _outcome(reference, d, param, exit_space)
+            assert got[0] is expected[0], (case, call.__name__, got[:2], expected[:2])
+            assert expected[2] is None or np.array_equal(got[2], expected[2]), (case, call.__name__)
+            outcomes[expected[0].__name__] += 1
+    assert sum(outcomes.values()) >= 600
+    for name in ("ndarray", "NotJContractive", "NegativeTargetIndex", "ParameterInvariantViolated"):
+        assert outcomes[name] > 0, outcomes
+
+
+def test_verify_counts_the_indices_of_the_column_extension(monkeypatch, capsys):
+    # extract_column_parameter never reads the upper block, so only the index
+    # count sees a column extension whose upper block is not T
+    from kreinkit import verify
+    from kreinkit.cli import main
+
+    args = ["verify", "--suite", "lifting", "--seed", "0", "--cases", "30"]
+    assert main(args) == 0
+    assert "PASS lifting.column_row_extensions" in capsys.readouterr().out
+
+    def corrupted(d, k, j2prime, tol=None):
+        t_c = column_extend(d, k, j2prime, tol)
+        t_c[: d.dim2] += 1.0
+        return t_c
+
+    monkeypatch.setattr(verify, "column_extend", corrupted)
+    assert main(args) != 0
+    assert "FAIL lifting.column_row_extensions" in capsys.readouterr().out
 
 
 def zero_lift_data():
