@@ -9,7 +9,7 @@ bicontraction classification derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .spectral import (
     spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, default_tolerances, resolve
+from .tolerances import ToleranceProfile, default_tolerances, per_profile, resolve
 
 __all__ = [
     "JSpace",
@@ -45,6 +45,7 @@ class JSpace:
 
     dim: int
     j: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = np.array(as_symmetric(self.j))
@@ -65,6 +66,7 @@ class JSpace:
         j_arr = as_symmetric(j)
         return cls(j_arr.shape[0], j_arr)
 
+    @per_profile
     def negativity(self, tol: ToleranceProfile | None = None) -> int:
         return negativity(self.j, tol)
 

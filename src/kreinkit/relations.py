@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     ShiftNotAdmissible,
 )
-from .quasicontraction import ExtremalPair, SymmetricColumn, extremal_extensions, uniqueness_gap
+from .quasicontraction import ExtremalPair, SymmetricColumn, extremal_extensions
 from .spectral import (
     as_matrix,
     as_symmetric,
@@ -355,13 +355,8 @@ def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormDat
     """Boundary form with the projection onto ``ran(I + A)`` inserted.
 
     The Gram is taken over the canonical graph basis; graph elements
-    supported in the multivalued part contribute zero rows.  Two identities
-    linking the form to the Cayley transform side are verified on each
-    basis element: four times the projected form equals ``|g|^2 - |P1 h|^2``
-    for ``g = f + f'`` and ``h = f - f'``, and ``|P2 h|^2 = 4 |P2 f|^2``.
-    They hold when ``g`` lies in ``ran(I + A)`` as read off the transform.
-    The unprojected ``4 f.f' = |g|^2 - |h|^2`` holds for any two vectors and
-    is not asserted.
+    supported in the multivalued part contribute zero rows.  Its link to the
+    Cayley side on each basis element is asserted by ``verify`` and the tests.
     """
     tol = resolve(tol)
     if not classify(rel, tol).symmetric:
@@ -369,30 +364,11 @@ def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormDat
     return _projected_form(rel, tol)
 
 
-def _col_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each column."""
-    return np.sum(x * x, axis=0)
-
-
 def _projected_form(rel: LinearRelation, tol: ToleranceProfile) -> FormData:
     """:func:`form_a1` on a relation already known to be symmetric."""
-    f = rel.first
-    fp = rel.second
-    sums = f + fp
-    diffs = f - fp
     # ran(I + A) is the domain of the Cayley transform, off its kept graph SVD
     p1 = projector(operator_part(rel.cayley(tol), tol)[0])
-    raw = f.T @ p1 @ fp
-    gram = symmetrize(raw)
-    # columnwise identities against the Cayley side
-    bound = tol.residual * 4.0
-    p1h = p1 @ diffs
-    p2h = diffs - p1h
-    p2f = f - p1 @ f
-    if np.any(np.abs(4.0 * np.diag(raw) - (_col_sq(sums) - _col_sq(p1h))) > bound):
-        raise ConsistencyError("projected form identity failed on a basis element")
-    if np.any(np.abs(_col_sq(p2h) - 4.0 * _col_sq(p2f)) > bound):
-        raise ConsistencyError("coupling norm identity failed on a basis element")
+    gram = symmetrize(rel.first.T @ p1 @ rel.second)
     negatives = negativity(gram, tol, floor=1.0) if gram.size else 0
     return FormData(gram=gram, negatives=negatives)
 
@@ -458,25 +434,16 @@ def friedrichs_krein(rel: LinearRelation, tol: ToleranceProfile | None = None):
 
     Solvability requires the negative count of the projected form to equal
     that of the full form.  The extensions are the inverse Cayley images of
-    the extreme quasi-contractive extensions of the transformed column; both
-    are verified to be selfadjoint extensions with the minimal negative
-    count.  The verified pair is kept on the relation beside its
-    :func:`extension_problem`.
+    the extreme quasi-contractive extensions of the transformed column; that
+    both extend the relation at its minimal negative count is asserted by
+    ``verify`` and the tests.  The pair is kept beside :func:`extension_problem`.
     """
-    kappa = _minimal_index(rel, tol)
+    _minimal_index(rel, tol)
     problem = extension_problem(rel, tol)
     # the inverse Cayley image of T spans [I + T; I - T], of full rank as I + T^2 >= I
     eye = np.eye(rel.space_dim)
     a_f = LinearRelation.from_generators(eye + problem.t_min, eye - problem.t_min, tol)
     a_k = LinearRelation.from_generators(eye + problem.t_max, eye - problem.t_max, tol)
-    for name, ext in (("Friedrichs extension", a_f), ("Krein-von Neumann extension", a_k)):
-        if not ext.contains(rel, tol):
-            raise ConsistencyError(f"{name} does not extend the relation")
-        counts = relation_inertia(ext, tol)
-        if counts.i_minus != kappa:
-            raise ConsistencyError(
-                f"{name} has i_minus = {counts.i_minus}, expected {kappa}"
-            )
     return a_f, a_k
 
 
@@ -607,69 +574,10 @@ def antitonicity_check(h1, h2, mode: str, tol: ToleranceProfile | None = None) -
 def krein_uniqueness_relation(rel: LinearRelation, tol: ToleranceProfile | None = None) -> bool:
     """Uniqueness of the minimal-index extension of a symmetric relation.
 
-    Decided by the transformed column's :meth:`ExtremalPair.unique`.  Its
-    gap formula is verified, and so are the translation identities tying the
-    relation side to the transform side (the pairing against defect vectors
-    and the quadratic form pulled back through the resolvent, on
-    deterministic random probes).
+    Decided by the transformed column's :meth:`ExtremalPair.unique`.  The
+    translation identities tying the relation side to the transform side,
+    and the gap's J-isometry cross-check, are asserted by ``verify`` and the tests.
     """
     tol = resolve(tol)
     _minimal_index(rel, tol)
-    problem = extension_problem(rel, tol)
-    uniqueness_gap(problem.pair, tol)
-    _assert_translation_identities(rel, problem, tol)
-    return problem.pair.unique(tol)
-
-
-def _assert_translation_identities(rel, problem: ExtensionProblem, tol: ToleranceProfile) -> None:
-    """Verify the identities linking the relation to its Cayley transform.
-
-    On probes ``g`` in ``ran(I + A)`` and ``phi`` in its complement:
-    the transform pairing equals twice the resolvent pairing, and the
-    quadratic defect form equals four times the operator-part form pulled
-    back through the resolvent.  The compressed symmetric operator built
-    from these maps is also checked for symmetry.
-    """
-    u1, u2 = problem.u1, problem.u2
-    n = rel.space_dim
-    d = u1.shape[1]
-    if d == 0:
-        return
-    # the Cayley transform as an operator on ran(I + A), off its blocks
-    t1 = np.hstack([u1, u2]) @ np.vstack([problem.t11, problem.t21]) @ u1.T
-    # (I + A)^{-1} as an operator on ran(I + A)
-    resolvent = rel.shift(1.0, tol).inverse()
-    if resolvent.mul_dim(tol) > 0:
-        raise ConsistencyError("(I + A) is not injective although the problem is solvable")
-    u_res, images_res = operator_part(resolvent, tol)
-    res = images_res @ u_res.T
-    # operator part of A composed with the resolvent, column by column
-    coeff, *_ = np.linalg.lstsq(rel.first + rel.second, u1, rcond=None)
-    first_parts = rel.first @ coeff
-    second_parts = rel.second @ coeff
-    mul = rel.mul_basis(tol)
-    p_op = np.eye(n) - projector(mul)
-    images = p_op @ second_parts
-    a_hat_raw = first_parts.T @ images
-    if not norm_leq(a_hat_raw - a_hat_raw.T, lambda na: tol.zero * (1.0 + na), a_hat_raw):
-        raise ConsistencyError("the resolvent-compressed operator is not symmetric")
-    a_hat = symmetrize(a_hat_raw)
-    rng = np.random.default_rng(0)
-
-    def holds(gap: float, weight: float) -> bool:
-        return norm_leq(gap, lambda nt, na: tol.zero * ((1.0 + nt) ** 2 + na) * weight, t1, a_hat)
-
-    for _ in range(4):
-        r = rng.standard_normal(d)
-        g = u1 @ r
-        lhs_form = float(g @ g - (t1 @ g) @ (t1 @ g))
-        # least squares is linear in the right-hand side: lstsq(F + F', g) = coeff @ r
-        rhs_form = 4.0 * float((images @ r) @ (first_parts @ r))
-        if not holds(abs(lhs_form - rhs_form), 1.0 + g @ g):
-            raise ConsistencyError("quadratic translation identity failed")
-        if u2.shape[1]:
-            phi = u2 @ rng.standard_normal(u2.shape[1])
-            lhs_pair = float((t1 @ g) @ phi)
-            rhs_pair = 2.0 * float((res @ g) @ phi)
-            if not holds(abs(lhs_pair - rhs_pair), 1.0 + g @ g + phi @ phi):
-                raise ConsistencyError("pairing translation identity failed")
+    return extension_problem(rel, tol).pair.unique(tol)

@@ -52,6 +52,7 @@ from .relations import (
     friedrichs_krein,
     inverse_duality_check,
     krein_uniqueness_relation,
+    operator_part,
     relation_inertia,
     relation_leq,
     resolvent_interval_check,
@@ -62,6 +63,8 @@ from .spectral import (
     modulus_power,
     negativity,
     norm2,
+    norm_leq,
+    projector,
     signature_of,
     signed_eigenbases,
     symmetrize,
@@ -415,6 +418,17 @@ def _quasi_extremal(rng, tol, track):
     track.expect(is_member(pair, symmetrize((pair.t_min + pair.t_max) / 2.0), tol))
     gap = uniqueness_gap(pair, tol)
     track.expect(loewner_leq(np.zeros_like(gap), gap, tol))
+    track.expect(_zero_gap_is_j_isometry(pair, tol))
+
+
+def _zero_gap_is_j_isometry(pair, tol) -> bool:
+    """The gap ``t_max - t_min`` vanishes exactly when ``V^T`` is J-isometric."""
+    if not (pair.dim1 and pair.dim2):
+        return True
+    gap = uniqueness_gap(pair, tol)
+    gap_zero = norm_leq(gap, lambda a, b: tol.residual * (1.0 + a + b), pair.t_min, pair.t_max)
+    data = defect_data(pair.v.T, JSpace.identity(pair.dim2), JSpace.from_matrix(pair.j), tol)
+    return j_isometry_test(data, tol).isometric == gap_zero
 
 
 def _quasi_nonsolvable(rng, tol, track):
@@ -559,6 +573,28 @@ def _relations_form(rng, tol, track):
     track.expect(cls.symmetric)
     data = form_a1(rel, tol)
     track.expect(data.negatives <= cls.form_negativity)
+    track.expect(_form_identities(rel, data.gram, tol))
+
+
+def _form_identities(rel, gram, tol) -> bool:
+    """The projected form against the Cayley side, on each graph basis element.
+
+    ``4 <P1 f', f> = |g|^2 - |P1 h|^2`` and ``|P2 h|^2 = 4 |P2 f|^2`` for
+    ``g = f + f'``, ``h = f - f'`` and ``P1`` onto ``ran(I + A)``, the
+    domain of the Cayley transform as the library reads it.
+    """
+    f, fp = rel.first, rel.second
+    p1 = projector(operator_part(rel.cayley(tol), tol)[0])
+    h = f - fp
+    p1h = p1 @ h
+
+    def col_sq(x):
+        return np.sum(x * x, axis=0)
+
+    bound = tol.residual * 4.0
+    first = np.abs(4.0 * np.diag(gram) - (col_sq(f + fp) - col_sq(p1h)))
+    second = np.abs(col_sq(h - p1h) - 4.0 * col_sq(f - p1 @ f))
+    return not (np.any(first > bound) or np.any(second > bound))
 
 
 def _extension_targets(rel, tol):
@@ -674,8 +710,54 @@ def _relations_uniqueness(rng, tol, track):
     else:
         rel = gens.random_solvable_relation(rng, n, dom_dim=int(rng.integers(1, n)))
     relation_verdict = krein_uniqueness_relation(rel, tol)
+    problem = extension_problem(rel, tol)
+    track.expect(_zero_gap_is_j_isometry(problem.pair, tol))
+    track.expect(_translation_identities(rel, problem, tol))
     a_f, a_k = friedrichs_krein(rel, tol)
     track.expect(relation_verdict == a_f.same_as(a_k, tol))
+
+
+def _translation_identities(rel, problem, tol) -> bool:
+    """The relation side against the Cayley side, on probes from a private stream.
+
+    For ``g`` in ``ran(I + A)``, ``phi`` in its complement and ``(f, f')``
+    the graph element over ``g``: ``(T g, phi) = 2 ((I + A)^{-1} g, phi)``
+    and ``|g|^2 - |T g|^2 = 4 (f', f)``, a form whose compression is symmetric.
+    """
+    u1, u2 = problem.u1, problem.u2
+    if u1.shape[1] == 0:
+        return True
+    # the Cayley transform and (I + A)^{-1} as operators on ran(I + A)
+    t1 = np.hstack([u1, u2]) @ np.vstack([problem.t11, problem.t21]) @ u1.T
+    resolvent = rel.shift(1.0, tol).inverse()
+    if resolvent.mul_dim(tol) > 0:
+        return False
+    u_res, images_res = operator_part(resolvent, tol)
+    res = images_res @ u_res.T
+    # the graph elements over the columns of u1, multivalued parts removed
+    coeff, *_ = np.linalg.lstsq(rel.first + rel.second, u1, rcond=None)
+    first_parts = rel.first @ coeff
+    images = (np.eye(rel.space_dim) - projector(rel.mul_basis(tol))) @ (rel.second @ coeff)
+    a_hat = first_parts.T @ images
+    if not norm_leq(a_hat - a_hat.T, lambda na: tol.zero * (1.0 + na), a_hat):
+        return False
+    a_hat, rng = symmetrize(a_hat), np.random.default_rng(0)
+
+    def holds(gap: float, weight: float) -> bool:
+        return norm_leq(gap, lambda nt, na: tol.zero * ((1.0 + nt) ** 2 + na) * weight, t1, a_hat)
+
+    for _ in range(4):
+        r = rng.standard_normal(u1.shape[1])
+        g = u1 @ r
+        # least squares is linear in the right-hand side: lstsq(F + F', g) = coeff @ r
+        quadratic = float(g @ g - (t1 @ g) @ (t1 @ g)) - 4.0 * float((images @ r) @ (first_parts @ r))
+        if not holds(abs(quadratic), 1.0 + g @ g):
+            return False
+        if u2.shape[1]:
+            phi = u2 @ rng.standard_normal(u2.shape[1])
+            if not holds(abs(float((t1 @ g) @ phi) - 2.0 * float((res @ g) @ phi)), 1.0 + g @ g + phi @ phi):
+                return False
+    return True
 
 
 _SUITES: dict[str, list[tuple[str, object]]] = {

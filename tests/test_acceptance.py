@@ -305,17 +305,24 @@ def test_criterion_8_uniqueness_criteria():
             rel = gens.random_solvable_relation(rng, n, dom_dim=d, unique=True)
         else:
             rel = gens.random_solvable_relation(rng, n, dom_dim=int(rng.integers(1, n)))
-        # relation-level test; the translation identities are asserted inside
         relation_verdict = krein_uniqueness_relation(rel)
         from kreinkit.factor import JSpace
         from kreinkit.lifting import defect_data, j_isometry_test
-        from kreinkit.relations import _cayley_column
+        from kreinkit.relations import _cayley_column, extension_problem
+        from kreinkit.verify import _translation_identities
 
+        # the identities tying the relation to its Cayley transform
+        assert _translation_identities(rel, extension_problem(rel), resolve(None))
         _, _, t11, t21 = _cayley_column(rel, None)
         col = SymmetricColumn(t11, t21)
         gap_verdict = krein_uniqueness_criterion(col)
         pair = extremal_extensions(col)
-        uniqueness_gap(pair)  # gap formula asserted inside
+        # the gap formula, at the bound residual * (1 + |t_min| + |t_max|)
+        gap = uniqueness_gap(pair)
+        predicted = np.zeros_like(gap)
+        predicted[pair.dim1:, pair.dim1:] = 2.0 * (np.eye(pair.dim2) - pair.v @ pair.j @ pair.v.T)
+        bound = 1e-8 * (1.0 + norm2(pair.t_min) + norm2(pair.t_max))
+        assert norm2(gap - symmetrize(predicted)) <= bound
         # rank/gap test on the coupling factor
         if pair.dim2 > 0 and pair.dim1 > 0:
             report_iso = j_isometry_test(
@@ -323,6 +330,8 @@ def test_criterion_8_uniqueness_criteria():
                             JSpace.from_matrix(pair.j))
             )
             rank_verdict = report_iso.kernel_and_gap
+            # a zero gap exactly when V^T is J-isometric
+            assert report_iso.isometric == (norm2(gap) <= bound)
         else:
             rank_verdict = pair.dim2 == 0
         a_f, a_k = friedrichs_krein(rel)

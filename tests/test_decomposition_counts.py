@@ -35,6 +35,7 @@ from kreinkit.relations import (
     relation_leq,
 )
 from kreinkit.spectral import SpectralDecomposition, inertia_of, loewner_leq, negativity, symmetrize
+from kreinkit.tolerances import ToleranceProfile
 
 T = np.array([[0.5, 0.2], [0.1, 1.3]])
 COLUMN = SymmetricColumn(np.diag([0.5, 2.0]), np.array([[0.3, 0.0]]))
@@ -283,13 +284,14 @@ def test_extensions_command_decomposes_no_matrix_twice(monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     (path,) = _write_documents(tmp_path, rel=jsonio.relation_document(relation()))
-    friedrichs_krein(jsonio.load_relation(path))
+    for ext in friedrichs_krein(jsonio.load_relation(path)):
+        relation_inertia(ext)
     building = Counter(decomposed)
     decomposed.clear()
     assert main(["extensions", path]) == 0
     assert json.loads(capsys.readouterr().out)["kappa"] == 0
-    # the report reads the inertia that building the pair kept on each
-    # extreme, so the command decomposes exactly what building the pair does
+    # the report counts each extreme once, so the command decomposes exactly
+    # what building the pair and counting both extremes does
     assert Counter(decomposed) == building
 
 
@@ -299,11 +301,13 @@ def test_relation_pipelines_share_the_column_spectrum(eigh_calls):
     assert _count(eigh_calls, ext_membership, relation(), a_k) <= 9
 
 
-def test_verified_extremes_keep_their_inertia(eigh_calls):
-    a_f, a_k = friedrichs_krein(relation())
-    # friedrichs_krein has counted both extremes already
-    assert _count(eigh_calls, relation_inertia, a_f) == 0
-    assert _count(eigh_calls, relation_inertia, a_k) == 0
+def test_fresh_extremes_are_not_counted_by_friedrichs_krein(eigh_calls):
+    # verify and the tests count the extremes; building them counts neither
+    for ext in friedrichs_krein(relation()):
+        assert not {"relation_inertia", "_operator_spectrum"} & {key[0] for key in ext._memo}
+        # counted once, an extreme keeps its inertia
+        relation_inertia(ext)
+        assert _count(eigh_calls, relation_inertia, ext) == 0
 
 
 def test_relation_pipelines_factor_each_graph_once(svd_calls):
@@ -387,11 +391,28 @@ def test_queries_on_kept_instances_take_no_svd_norm(norm2_calls):
         assert _count(norm2_calls, ext_membership, rel, candidate) == 0
 
 
-def test_uniqueness_identities_take_no_svd_norm(norm2_calls):
-    # the translation identities' scale (1 + |t1|)^2 + |a_hat| is bracketed
-    rel = relation()
+@pytest.mark.parametrize(
+    "rel", [relation(), LinearRelation.from_operator(np.diag([2.0, -3.0]))], ids=["partial", "selfadjoint"]
+)
+def test_uniqueness_after_the_extremes_makes_no_lapack_call(monkeypatch, norm2_calls, rel):
+    # the relation keeps its minimal index and extension problem, and the
+    # verdict I - V J V^T = 0 is settled from its Frobenius bounds
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve", "cholesky"):
+        _counting(monkeypatch, name, calls)
     friedrichs_krein(rel)
-    assert _count(norm2_calls, krein_uniqueness_relation, rel) == 0
+    calls.clear()
+    norm2_calls.clear()
+    krein_uniqueness_relation(rel)
+    assert calls == [] and norm2_calls == []
+
+
+def test_a_j_space_counts_its_negative_index_once(eigvalsh_calls):
+    space, tol = JSpace.from_matrix(np.diag([1.0, -1.0, -1.0])), ToleranceProfile()
+    assert _count(eigvalsh_calls, space.negativity, tol) == 1
+    # asked again under the same profile, the space reads the kept count
+    assert _count(eigvalsh_calls, space.negativity, tol) == 0
+    assert space.negativity(tol) == 2
 
 
 def test_member_triple_decomposes_each_operator_part_once(monkeypatch):

@@ -279,3 +279,18 @@ def test_verify_counts_the_extremes_split_counts(monkeypatch, capsys):
         ext[n1:, n1:] -= 0.5 * np.eye(ext.shape[0] - n1)
 
     assert "quasicontraction.extremal_membership" in _verify_quasicontraction(monkeypatch, capsys, lower)
+
+
+def test_verify_names_the_check_a_zero_gap_of_a_non_isometry_fails(monkeypatch, capsys):
+    # t_max collapsed onto t_min: the member tests and split counts of the
+    # extremes still pass, but the zero gap contradicts the J-isometry test
+    # of V^T, which the library leaves to the verifier
+    original = quasicontraction._extremal_blocks
+
+    def collapsed(t11, t21, defect):
+        t_min, _, v, j, coupling = original(t11, t21, defect)
+        return t_min, t_min, v, j, coupling
+
+    monkeypatch.setattr(quasicontraction, "_extremal_blocks", collapsed)
+    assert main(["verify", "--suite", "quasicontraction", "--seed", "3", "--cases", "20"]) == 1
+    assert "FAIL quasicontraction.extremal_membership" in capsys.readouterr().out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kreinkit import gens, verify
+from kreinkit import gens, relations, spectral, verify
+from kreinkit.cli import main
 from kreinkit.errors import (
     DimensionMismatch,
     NotAnExtension,
@@ -256,7 +257,8 @@ def test_form_a1_projected_versus_plain():
 
 def test_form_identities_at_tight_tolerance():
     # the identities linking the forms to the transform side hold to 1e-10
-    # on random symmetric relations, measured directly on graph elements
+    # on random symmetric relations, measured directly on graph elements,
+    # and the first also on the diagonal of the Gram form_a1 returns
     rng = np.random.default_rng(63)
     from kreinkit.spectral import orthonormal_columns, projector
 
@@ -269,12 +271,14 @@ def test_form_identities_at_tight_tolerance():
         f, fp = rel.first, rel.second
         sums = f + fp
         p1 = projector(orthonormal_columns(sums))
+        gram = form_a1(rel).gram
         for i in range(rel.graph_dim):
             g = sums[:, i]
             h = f[:, i] - fp[:, i]
             a1_val = float(f[:, i] @ (p1 @ fp[:, i]))
             a_val = float(f[:, i] @ fp[:, i])
             assert abs(4.0 * a1_val - (g @ g - (p1 @ h) @ (p1 @ h))) <= 1e-10
+            assert abs(4.0 * gram[i, i] - (g @ g - (p1 @ h) @ (p1 @ h))) <= 1e-10
             assert abs(4.0 * a_val - (g @ g - h @ h)) <= 1e-10
             p2f = f[:, i] - p1 @ f[:, i]
             p2h = h - p1 @ h
@@ -382,8 +386,10 @@ def test_membership_triple_agreement():
         n = int(rng.integers(2, 5))
         rel = gens.random_solvable_relation(rng, n)
         a_f, a_k = friedrichs_krein(rel)
-        kappa = relation_inertia(a_f).i_minus
+        # the extremes extend the relation at its own minimal index
+        kappa = form_a1(rel).negatives
         for candidate in (a_f, a_k):
+            assert candidate.contains(rel)
             assert ext_membership(rel, candidate)
             assert relation_leq(a_k, candidate) and relation_leq(candidate, a_f)
             assert relation_inertia(candidate).i_minus == kappa
@@ -438,3 +444,38 @@ def test_krein_uniqueness_relation_examples():
         assert krein_uniqueness_relation(rel)
         a_f, a_k = friedrichs_krein(rel)
         assert a_f.same_as(a_k)
+
+
+def _verify_relations_failures(capsys):
+    """Names of the checks ``kreinkit verify --suite relations`` reports failing."""
+    assert main(["verify", "--suite", "relations", "--seed", "3", "--cases", "20"]) == 1
+    return {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")}
+
+
+def test_verify_names_the_check_a_negated_transform_coupling_fails(monkeypatch, capsys):
+    # the uniqueness verdict and the extremes' agreement do not see the sign
+    # of t21; the translation identities compare it with the resolvent
+    original = relations._cayley_column
+
+    def negated(rel, tol):
+        u1, u2, t11, t21 = original(rel, tol)
+        return u1, u2, t11, -t21
+
+    monkeypatch.setattr(relations, "_cayley_column", negated)
+    assert "relations.uniqueness_agreement" in _verify_relations_failures(capsys)
+
+
+def test_verify_names_the_check_extremes_off_the_relation_fail(monkeypatch, capsys):
+    # shifted extremes are still selfadjoint but no longer extend the relation
+    def shifted(rel, tol=None):
+        return tuple(ext.shift(1.0, tol) for ext in friedrichs_krein(rel, tol))
+
+    monkeypatch.setattr(verify, "friedrichs_krein", shifted)
+    assert "relations.extension_interval" in _verify_relations_failures(capsys)
+
+
+def test_verify_names_the_check_a_corrupted_form_projector_fails(monkeypatch, capsys):
+    # a scaled projector keeps the form's negative count, so within the
+    # check only the identities tying the Gram to the Cayley side see it
+    monkeypatch.setattr(relations, "projector", lambda q: 0.9 * spectral.projector(q))
+    assert "relations.boundary_form" in _verify_relations_failures(capsys)
