@@ -29,9 +29,9 @@ from .spectral import (
     Inertia,
     SpectralDecomposition,
     _inertia,
+    _loewner_leq,
     as_matrix,
     as_symmetric,
-    loewner_leq,
     norm2,
     norm_leq,
     spectral_decompose,
@@ -162,8 +162,7 @@ def is_solution(blk: IncompleteBlock, a22, tol: ToleranceProfile | None = None) 
     """Interval membership test: ``a22`` is admissible iff ``a22 >= a22_min``."""
     tol = resolve(tol)
     sol = minimal_completion(blk, tol)
-    a22_sym = _corner(blk, a22, tol)
-    return loewner_leq(sol.a22_min, a22_sym, tol)
+    return _loewner_leq(sol.a22_min, _corner(blk, a22, tol), tol)
 
 
 def assemble(blk: IncompleteBlock, a22) -> np.ndarray:

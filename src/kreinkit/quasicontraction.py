@@ -25,11 +25,11 @@ from .spectral import (
     SpectralDecomposition,
     _count,
     _inertia,
+    _loewner_leq,
     _settle,
     _solve,
     as_matrix,
     as_symmetric,
-    loewner_leq,
     norm2,
     norm_leq,
     spectral_decompose,
@@ -221,21 +221,25 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
 
 
 def is_member(pair: ExtremalPair, t, tol: ToleranceProfile | None = None) -> bool:
-    """Order-interval membership ``t_min <= T <= t_max``.
+    """Order-interval membership ``t_min <= T <= t_max``, decided on the corner.
 
-    ``T`` must be a symmetric extension of the column (its first block
-    column must match), otherwise :class:`NotAnExtension` is raised.
+    ``T`` must be a symmetric extension of the column (its first block column
+    must match to ``residual``), otherwise :class:`NotAnExtension` is raised.
+    Members share that column, so ``corner_min <= T22 <= corner_max`` decides, by
+    two Cholesky factorizations of size ``n2``; the slack ``psd (1 + |A| + |B|)``
+    is taken on the corners, whose norms are at most the full ones.
     """
     tol = resolve(tol)
     t_sym = as_symmetric(t, tol)
-    n = pair.dim1 + pair.dim2
+    n1, n = pair.dim1, pair.dim1 + pair.dim2
     if t_sym.shape[0] != n:
         raise DimensionMismatch(f"T has dim {t_sym.shape[0]}, expected {n}")
-    column = pair.t_min[:, : pair.dim1]
-    gap = t_sym[:, : pair.dim1] - column
+    column = pair.t_min[:, :n1]
+    gap = t_sym[:, :n1] - column
     if not norm_leq(gap, lambda nc: tol.residual * (1.0 + nc), column):
         raise NotAnExtension(f"first block column differs by {norm2(gap):.3e}")
-    return loewner_leq(pair.t_min, t_sym, tol) and loewner_leq(t_sym, pair.t_max, tol)
+    corner = t_sym[n1:, n1:]
+    return _loewner_leq(pair.t_min[n1:, n1:], corner, tol) and _loewner_leq(corner, pair.t_max[n1:, n1:], tol)
 
 
 def uniqueness_gap(pair: ExtremalPair, tol: ToleranceProfile | None = None) -> np.ndarray:

@@ -14,11 +14,12 @@ characterizations, and the antitonicity and uniqueness criteria.
 
 A relation is immutable, so what is derived from it is computed once per
 relation and tolerance profile and kept on the relation for as long as it
-lives: the graph SVD (profile-free), the classification, the operator part
-and its eigenvalues, the minimal index, the :class:`ExtensionProblem` and
-the Friedrichs/Krein pair.  Each is exactly what a fresh computation
-returns, and its arrays are read-only.  A query against a relation that
-was queried before pays only for its other arguments.
+lives: the graph SVD and the Cayley image (both profile-free), the
+classification, the operator part and its eigenvalues, the minimal index,
+the :class:`ExtensionProblem` and the Friedrichs/Krein pair.  Each is
+exactly what a fresh computation returns, and its arrays are read-only.  A
+query against a relation that was queried before pays only for its other
+arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .quasicontraction import ExtremalPair, SymmetricColumn, extremal_extensions
 from .spectral import (
+    _loewner_leq,
     as_matrix,
     as_symmetric,
     complement_basis,
@@ -233,11 +235,15 @@ class LinearRelation:
         stacked = np.vstack([self.first, self.second + c * self.first])
         return LinearRelation(self.space_dim, orthonormal_columns(stacked, tol))
 
-    @per_profile
     def cayley(self, tol: ToleranceProfile | None = None) -> "LinearRelation":
-        """Graph transform ``(f, f') -> (f + f', f - f')`` (an involution)."""
-        stacked = np.vstack([self.first + self.second, self.first - self.second])
-        return LinearRelation(self.space_dim, orthonormal_columns(stacked, tol))
+        """Graph transform ``(f, f') -> (f + f', f - f') / sqrt(2)``, an involution and an
+        orthogonal map of the doubled space: it takes the orthonormal basis to one of the
+        image, with no SVD, no rank decision and no read of ``tol``.  The image is kept."""
+        def image():
+            stacked = np.vstack([self.first + self.second, self.first - self.second])
+            return LinearRelation(self.space_dim, stacked / np.sqrt(2.0))
+
+        return memoized(self, ("cayley", None), image)
 
     # -- comparisons -----------------------------------------------------
 
@@ -251,14 +257,14 @@ class LinearRelation:
         return subspaces_equal(self.basis, other.basis, tol)
 
     def contains(self, other: "LinearRelation", tol: ToleranceProfile | None = None) -> bool:
-        """Graph containment ``other`` inside ``self``."""
+        """Graph containment ``other`` inside ``self``, by the thin residual ``B - Q (Q^T B)``."""
         tol = resolve(tol)
         if self.space_dim != other.space_dim:
             return False
         if other.graph_dim == 0:
             return True
-        eye = np.eye(2 * self.space_dim)
-        return norm_leq((eye - self.graph_projector()) @ other.basis, lambda: tol.subspace)
+        q, b = self.basis, other.basis
+        return norm_leq(b - q @ (q.T @ b), lambda: tol.subspace)
 
 
 @per_profile
@@ -465,8 +471,7 @@ def relation_leq(h1: LinearRelation, h2: LinearRelation, tol: ToleranceProfile |
     a = (min(finite) if finite else 0.0) - 1.0
     r1 = resolvent_matrix(h1, a, tol)
     r2 = resolvent_matrix(h2, a, tol)
-    zero = np.zeros_like(r2)
-    return loewner_leq(zero, r2, tol) and loewner_leq(r2, r1, tol)
+    return _loewner_leq(np.zeros_like(r2), r2, tol) and _loewner_leq(r2, r1, tol)
 
 
 def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: ToleranceProfile | None = None) -> bool:
@@ -488,7 +493,7 @@ def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: Toleranc
     # the graph is n-dimensional, so this is an operator on the whole space
     u, images = operator_part(transform, tol)
     t = symmetrize(images @ u.T)
-    return loewner_leq(problem.t_min, t, tol) and loewner_leq(t, problem.t_max, tol)
+    return _loewner_leq(problem.t_min, t, tol) and _loewner_leq(t, problem.t_max, tol)
 
 
 def resolvent_interval_check(

@@ -426,15 +426,22 @@ def loewner_leq(a, b, tol: ToleranceProfile | None = None) -> bool:
     """Loewner order test ``A <= B`` with relative slack.
 
     True iff ``eigvalsh`` puts the minimal eigenvalue of ``B - A`` at least at
-    ``-psd * (1 + |A| + |B|)``.  Cholesky factorizations of ``B - A`` shifted
-    just inside and just outside that slack settle it; only between them does
-    ``eigvalsh`` run, with the norms (by :func:`norm_leq`) only below ``-psd``.
+    ``-psd * (1 + |A| + |B|)``.  Both operands are validated as symmetric
+    matrices of one shape, then :func:`_loewner_leq` decides.
     """
     tol = resolve(tol)
     a_sym = as_symmetric(a, tol)
     b_sym = as_symmetric(b, tol)
     if a_sym.shape != b_sym.shape:
         raise DimensionMismatch(f"shapes {a_sym.shape} and {b_sym.shape} differ")
+    return _loewner_leq(a_sym, b_sym, tol)
+
+
+def _loewner_leq(a_sym: np.ndarray, b_sym: np.ndarray, tol: ToleranceProfile) -> bool:
+    """:func:`loewner_leq` on symmetric arrays of one shape that the caller validated or
+    built with :func:`symmetrize`.  Cholesky factorizations of ``B - A`` shifted just
+    inside and just outside the slack settle it; only between them does ``eigvalsh`` run,
+    with the norms (by :func:`norm_leq`) only below ``-psd``."""
     gap = symmetrize(b_sym - a_sym)
     slack = (lambda na, nb: tol.psd * (1.0 + na + nb), a_sym, b_sym)
     verdict = _order_by_cholesky(gap, slack)

@@ -43,6 +43,26 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_suite_choices_are_the_verifiers_suites():
+    from kreinkit import verify
+
+    assert list(cli._SUITES) == verify.available_suites()
+
+
+def test_commands_other_than_verify_leave_the_suites_unloaded():
+    src = str(Path(kreinkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import io, sys\n"
+        "from kreinkit.cli import main\n"
+        "sys.stdin = io.StringIO('{\"rows\": 1, \"cols\": 1, \"data\": [[4.0]]}')\n"
+        "assert main(['inertia', '-']) == 0\n"
+        "print(sorted({'kreinkit.verify', 'kreinkit.gens'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_module_and_verify_run_where_scipy_cannot_be_imported():
     src = str(Path(kreinkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -28,6 +28,7 @@ from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_m
 from kreinkit.relations import (
     LinearRelation,
     ext_membership,
+    form_a1,
     friedrichs_krein,
     krein_uniqueness_relation,
     operator_part,
@@ -311,10 +312,12 @@ def test_fresh_extremes_are_not_counted_by_friedrichs_krein(eigh_calls):
 
 
 def test_relation_pipelines_factor_each_graph_once(svd_calls):
-    # ran(I + A) off the kept Cayley graph, one SVD per extreme's graph
-    assert _count(svd_calls, friedrichs_krein, relation()) <= 6
+    # ran(I + A) off the kept Cayley graph's SVD, which the Cayley column
+    # shares, and one SVD per extreme's graph
+    assert _count(svd_calls, friedrichs_krein, relation()) == 3
     _, a_k = friedrichs_krein(relation())
-    assert _count(svd_calls, ext_membership, relation(), a_k) <= 4
+    # on a fresh relation: its Cayley graph and the candidate's
+    assert _count(svd_calls, ext_membership, relation(), a_k) == 2
 
 
 def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, svd_calls):
@@ -324,9 +327,30 @@ def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, s
     eigh_calls.clear()
     svd_calls.clear()
     assert ext_membership(rel, candidate)
-    # the candidate's classification, its Cayley transform and that graph's SVD
+    # the candidate's classification, and its Cayley graph's SVD; the
+    # transform itself takes none
     assert len(eigh_calls) <= 1
-    assert len(svd_calls) <= 2
+    assert len(svd_calls) == 1
+
+
+def test_projected_form_of_a_fresh_relation_takes_one_svd(svd_calls):
+    # ran(I + A) is read off the Cayley graph's SVD, and the transform is
+    # an orthogonal map of the graph basis
+    assert _count(svd_calls, form_a1, relation()) == 1
+
+
+def test_cayley_transform_makes_no_linalg_call(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "qr", "lstsq", "solve", "cholesky", "norm", "inv", "pinv"):
+        _counting(monkeypatch, name, calls)
+    rng = np.random.default_rng(6)
+    # operator graphs, multivalued relations and a zero-dimensional graph
+    rels = [relation(), LinearRelation.from_generators(np.zeros((2, 2)), np.eye(2)), LinearRelation(3, np.zeros((6, 0)))]
+    rels += [LinearRelation(3, gens.random_orthogonal(rng, 6)[:, :k]) for k in range(7)]
+    calls.clear()
+    for rel in rels:
+        assert rel.cayley().graph_dim == rel.graph_dim
+    assert calls == []
 
 
 def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_calls):
@@ -343,6 +367,21 @@ def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_
     assert _count(decompositions, relation_leq, h1, h2) == 0
     assert len(cholesky_calls) == 2
     assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
+
+
+def test_membership_on_a_kept_pair_factors_only_the_corner(eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls):
+    # every member shares the first block column, so the order tests run on
+    # the n2 x n2 corners: 2 Cholesky factorizations of size 3, not of 9
+    pair = extremal_extensions(gens.random_quasicontraction_column(np.random.default_rng(7), 6, 3))
+    outside = pair.t_max.copy()
+    outside[6:, 6:] += 0.4 * np.eye(3)
+    for t, member in ((pair.t_min, True), ((pair.t_min + pair.t_max) / 2.0, True), (pair.t_max, True), (outside, False)):
+        for calls in (eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls):
+            calls.clear()
+        assert is_member(pair, t) == member
+        assert set(cholesky_calls) == {(3, 3)} and not eigh_calls + eigvalsh_calls + svd_calls
+        if member:
+            assert len(cholesky_calls) == 2
 
 
 def test_queries_on_kept_instances_take_no_eigvalsh(eigvalsh_calls):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from kreinkit.quasicontraction import (
     split_counts,
     uniqueness_gap,
 )
-from kreinkit.spectral import loewner_leq, negativity, norm2, symmetrize
-from kreinkit.tolerances import ToleranceProfile
+from kreinkit.spectral import as_symmetric, loewner_leq, negativity, norm2, norm_leq, symmetrize
+from kreinkit.tolerances import ToleranceProfile, resolve
 
 
 def nu_minus(matrix, scale_floor=1.0, threshold=1e-9):
@@ -136,6 +138,110 @@ def test_is_member_examples():
         assert not is_member(pair, np.diag([0.0, t]))
     with pytest.raises(NotAnExtension):
         is_member(pair, np.diag([0.5, 0.0]))
+
+
+def _reference_is_member(pair, t, tol=None):
+    """``is_member`` as it stood before it decided on the corner: both order
+    tests on the full ``n x n`` matrices, with the slack on the full norms."""
+    tol = resolve(tol)
+    t_sym = as_symmetric(t, tol)
+    column = pair.t_min[:, : pair.dim1]
+    gap = t_sym[:, : pair.dim1] - column
+    if not norm_leq(gap, lambda nc: tol.residual * (1.0 + nc), column):
+        raise NotAnExtension(f"first block column differs by {norm2(gap):.3e}")
+    return loewner_leq(pair.t_min, t_sym, tol) and loewner_leq(t_sym, pair.t_max, tol)
+
+
+def _with_corner(pair, corner):
+    t = pair.t_max.copy()
+    t[pair.dim1 :, pair.dim1 :] = symmetrize(corner)
+    return t
+
+
+def _order_band(pair, t, psd):
+    """Whether a gap's lowest eigenvalue lies in ``[-s_full, -s_corner)``.
+
+    ``s_full = psd (1 + |A| + |B|)`` on the full operands and ``s_corner`` the
+    same on their corners, so ``s_corner <= s_full``.  The bracket is widened
+    by a relative 1e-6, far above the roundoff of the eigenvalues.
+    """
+    n1 = pair.dim1
+    for a, b in ((pair.t_min, t), (t, pair.t_max)):
+        lowest = float(np.linalg.eigvalsh(b[n1:, n1:] - a[n1:, n1:])[0])
+        s_full = psd * (1.0 + norm2(a) + norm2(b))
+        s_corner = psd * (1.0 + norm2(a[n1:, n1:]) + norm2(b[n1:, n1:]))
+        if -s_full * (1.0 + 1e-6) <= lowest < -s_corner * (1.0 - 1e-6):
+            return True
+    return False
+
+
+def test_corner_membership_agrees_with_the_full_size_decision():
+    # Every member shares t_min's first block column, so T - t_min and
+    # t_max - T vanish off the n2 x n2 corner, and is_member decides
+    # corner_min <= T22 <= corner_max.  Its slack psd (1 + |A| + |B|) is
+    # taken on the corners, whose norms are at most the full ones.  So the
+    # verdicts can differ only where a gap's lowest eigenvalue lies in the
+    # band [-s_full, -s_corner) between the full and the corner slack: there
+    # the corner test refuses what the full test accepts, and never the
+    # other way round.
+    rng = np.random.default_rng(44)
+    psd = ToleranceProfile().psd
+    seen = Counter()
+    for case in range(50):
+        n1, n2 = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        unique = case % 3 == 0 and n1 >= n2
+        pair = extremal_extensions(gens.random_quasicontraction_column(rng, n1, n2, unique=unique))
+        lo, hi = pair.t_min[n1:, n1:], pair.t_max[n1:, n1:]
+        v = gens.random_orthogonal(rng, n2)[:, :1]
+        bump = gens.random_psd(rng, n2, scale=rng.uniform(0.05, 0.5))
+        corners = [lo, hi, (lo + hi) / 2.0, hi + bump, lo - bump]
+        # a gap eigenvalue placed at +-s (1 +- d) of the corner slack s, and
+        # beyond the full slack, at either end of the interval
+        for base, full in ((lo, pair.t_min), (hi, pair.t_max)):
+            s_corner, s_full = (psd * (1.0 + 2.0 * norm2(m)) for m in (base, full))
+            for x in (0.5 * s_corner, 0.99 * s_corner, 1.01 * s_corner, 1.5 * s_corner, 1.01 * s_full, 2.0 * s_full):
+                corners += [base + x * (v @ v.T), base - x * (v @ v.T)]
+        for corner in corners:
+            t = _with_corner(pair, corner)
+            got, want = is_member(pair, t), _reference_is_member(pair, t)
+            band = _order_band(pair, t, psd)
+            assert want or not got
+            if not band:
+                assert got == want
+            seen[unique, band, got, want] += 1
+    assert sum(seen.values()) >= 1000
+    # unique pairs are covered, both verdicts occur outside the band, and
+    # the band holds candidates the full test accepted and the corner refuses
+    assert seen[True, False, True, True] > 0 and seen[False, False, False, False] > 0
+    assert seen[False, True, False, True] > 0
+
+
+def test_a_first_column_off_by_up_to_residual_is_decided_on_its_corner():
+    # A first block column off by up to residual (1 + |column|) still passes
+    # the extension check, and is_member decides such a candidate on its
+    # corner alone, as if the column were exact.  The full-size test also saw
+    # the offset (up to residual = 1e-8, above the order slack psd = 1e-9
+    # times 1 + |A| + |B|), so it refused most members among them.
+    rng = np.random.default_rng(45)
+    tol = ToleranceProfile()
+    seen = Counter()
+    for _ in range(100):
+        n1, n2 = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        pair = extremal_extensions(gens.random_quasicontraction_column(rng, n1, n2))
+        lo, hi = pair.t_min[n1:, n1:], pair.t_max[n1:, n1:]
+        bump = gens.random_psd(rng, n2, scale=rng.uniform(0.05, 0.5))
+        for corner, member in (((lo + hi) / 2.0, True), (hi + bump, False)):
+            exact = _with_corner(pair, corner)
+            offset = np.zeros_like(exact)
+            offset[:, :n1] = rng.standard_normal((n1 + n2, n1))
+            offset += offset.T
+            size = rng.uniform(0.1, 0.9) * tol.residual * (1.0 + norm2(pair.t_min[:, :n1]))
+            t = exact + offset * (size / norm2(offset[:, :n1]))
+            assert is_member(pair, t, tol) == is_member(pair, exact, tol) == member
+            seen[member, _reference_is_member(pair, t, tol)] += 1
+    # no non-member is accepted either way, and members the full-size test
+    # refused (88 of the 100 here) are now accepted
+    assert seen[False, True] == 0 and seen[True, False] > 0
 
 
 def test_uniqueness_gap_examples():

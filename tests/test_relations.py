@@ -26,7 +26,7 @@ from kreinkit.relations import (
     resolvent_interval_check,
     resolvent_matrix,
 )
-from kreinkit.spectral import subspace_distance
+from kreinkit.spectral import norm2, orthonormal_columns, subspace_distance
 from kreinkit.tolerances import resolve
 
 
@@ -198,6 +198,35 @@ def test_cayley_involution_property():
         lhs = rel.cayley().inverse()
         rhs = rel.negate().cayley()
         assert subspace_distance(lhs.basis, rhs.basis) <= 1e-9
+
+
+def _reference_cayley(rel, tol=None):
+    """The Cayley transform as it stood before: an SVD of the stacked image."""
+    stacked = np.vstack([rel.first + rel.second, rel.first - rel.second])
+    return LinearRelation(rel.space_dim, orthonormal_columns(stacked, tol))
+
+
+def test_cayley_basis_agrees_with_the_orthonormalized_image():
+    # (f, f') -> (f + f', f - f') / sqrt(2) is orthogonal on the doubled
+    # space, so it maps the orthonormal graph basis to an orthonormal basis
+    # of the image, whose singular values the SVD route saw all at sqrt(2)
+    rng = np.random.default_rng(54)
+    rels = [LinearRelation(n, np.zeros((2 * n, 0))) for n in range(4)]
+    rels += [LinearRelation.from_generators(np.zeros((n, n)), np.eye(n)) for n in range(1, 4)]
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        rels.append(LinearRelation(n, gens.random_orthogonal(rng, 2 * n)[:, : int(rng.integers(0, 2 * n + 1))]))
+        rels.append(gens.random_selfadjoint_relation(rng, n, mul_dim=int(rng.integers(0, n + 1))))
+    for eps in (1e-7, 1e-8, 1e-9, 1e-10, 1e-12):
+        rels += [_near_multivalued(rng, eps)[0] for _ in range(20)]
+    multivalued = 0
+    for rel in rels:
+        got, want = rel.cayley(), _reference_cayley(rel)
+        assert got.same_as(want) and got.mul_dim() == want.mul_dim()
+        multivalued += got.mul_dim() > 0
+        assert norm2(got.basis.T @ got.basis - np.eye(got.graph_dim)) <= 1e-14
+        assert np.max(np.abs(got.cayley().basis - rel.basis), initial=0.0) <= 1e-15
+    assert len(rels) >= 500 and multivalued > 0
 
 
 def test_operator_part_of_operator_graphs():
