@@ -30,10 +30,10 @@ from .spectral import (
     SpectralDecomposition,
     _inertia,
     _loewner_leq,
+    _small,
     as_matrix,
     as_symmetric,
     norm2,
-    norm_leq,
     spectral_decompose,
     symmetrize,
 )
@@ -121,7 +121,7 @@ def _factor(blk: IncompleteBlock, tol: ToleranceProfile):
     y = spec.eigenvectors.T @ blk.a12
     s = spec._apply(spec._pinv_values(0.5), y)
     leak, _ = spec._kernel_split(y)
-    return spec, y, s, norm_leq(leak, lambda nb: tol.residual * (1.0 + nb), blk.a12)
+    return spec, y, s, _small(leak, tol, "residual", blk.a12)
 
 
 def completable(blk: IncompleteBlock, tol: ToleranceProfile | None = None) -> bool:

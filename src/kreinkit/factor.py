@@ -15,13 +15,15 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatch, HypothesisViolated, InvalidInput
 from .spectral import (
+    _defect_scale,
     _inertia,
+    _nonnegative,
+    _small,
     as_matrix,
     as_symmetric,
     inertia_of,
     loewner_leq,
     negativity,
-    norm_leq,
     rank_of,
     spectral_decompose,
     symmetrize,
@@ -53,8 +55,7 @@ class JSpace:
         object.__setattr__(self, "j", j)
         if j.shape[0] != self.dim:
             raise DimensionMismatch(f"symmetry has dim {j.shape[0]}, expected {self.dim}")
-        tol = default_tolerances()
-        if not norm_leq(j @ j - np.eye(self.dim), lambda nj: tol.residual * (1.0 + nj ** 2), j):
+        if not _small(j @ j - np.eye(self.dim), default_tolerances(), "residual", j, power=2):
             raise InvalidInput("j is not an involution (j^2 != I)")
 
     @classmethod
@@ -106,7 +107,7 @@ def inertia_balance(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = No
         raise DimensionMismatch(
             f"T has shape {t_arr.shape}, expected ({j2.dim}, {j1.dim})"
         )
-    floor = (lambda nt: (1.0 + nt) ** 2, t_arr)
+    floor = _defect_scale(t_arr)
     left = _inertia(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, floor)
     right = _inertia(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, floor)
     i1 = inertia_of(j1.j, tol)
@@ -123,12 +124,6 @@ def inertia_balance(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = No
     return left, right
 
 
-def _restricted(gram: np.ndarray, range_projector: np.ndarray | None) -> np.ndarray:
-    if range_projector is None:
-        return gram
-    return symmetrize(range_projector @ gram @ range_projector)
-
-
 def _classify(
     factor: np.ndarray,
     source_gram: np.ndarray,
@@ -143,10 +138,11 @@ def _classify(
     factor actually lives on (the kernel convention signs the complement
     ``+1``, which must not pollute the isometry test).
     """
-    restricted = _restricted(source_gram, source_projector)
-    contractive = loewner_leq(np.zeros_like(source_gram), source_gram, tol)
-    cocontractive = loewner_leq(np.zeros_like(target_gram), target_gram, tol)
-    isometric = norm_leq(restricted, lambda nf: tol.residual * (1.0 + nf ** 2), factor)
+    p = source_projector
+    restricted = source_gram if p is None else symmetrize(p @ source_gram @ p)
+    contractive = _nonnegative(source_gram, tol)
+    cocontractive = _nonnegative(target_gram, tol)
+    isometric = _small(restricted, tol, "residual", factor, power=2)
     if isometric:
         if surjective:
             return "unitary"
@@ -228,7 +224,7 @@ def douglas_factor(
         if not loewner_leq(gram, a_sym, tol):
             return None
     else:
-        if not norm_leq(a_sym - gram, lambda ng: tol.residual * (1.0 + spec.norm + ng), gram):
+        if not _small(a_sym - gram, tol, "residual", spec.norm, gram):
             return None
     c = b_arr @ spec.pinv_power(0.5)
     j_a = spec.sign()
@@ -262,7 +258,7 @@ def bicontraction_classify(
         return BicontractionCase(case="neither", witness=None)
     gram = symmetrize(b_arr.T @ j2.j @ b_arr)
     witness = b_arr @ spec.pinv_power(0.5)
-    if norm_leq(a_sym - gram, lambda ng: tol.residual * (1.0 + spec.norm + ng), gram):
+    if _small(a_sym - gram, tol, "residual", spec.norm, gram):
         return BicontractionCase(case="ii", witness=witness)
     if loewner_leq(gram, a_sym, tol):
         return BicontractionCase(case="i", witness=witness)

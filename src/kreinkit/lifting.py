@@ -46,12 +46,14 @@ from .errors import (
 from .factor import JSpace
 from .spectral import (
     SpectralDecomposition,
+    _contractive,
     _decompose,
+    _defect_scale,
     _inertia,
-    _order_by_cholesky,
+    _nonnegative,
+    _small,
     as_matrix,
     intersect_subspaces,
-    loewner_leq,
     moore_penrose_power,
     norm2,
     norm_leq,
@@ -180,11 +182,6 @@ def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) 
     )
 
 
-def _defect_scale(t: np.ndarray):
-    """Natural scale ``(1 + |t|)^2`` of a defect form built from ``t``, as a certified floor."""
-    return (lambda nt: (1.0 + nt) ** 2, t)
-
-
 def verify_link_identities(d: JContractionData, tol: ToleranceProfile | None = None) -> bool:
     """Check the three link identities on the defect subspaces.
 
@@ -225,11 +222,11 @@ def _check_parameter(param: np.ndarray, side, tol: ToleranceProfile, what: str, 
     projected exactly) and its gram must be nonnegative within the order slack.
     """
     leak, _, gram = side
-    if not norm_leq(leak, lambda npar: tol.subspace * (1.0 + npar), param):
+    if not _small(leak, tol, "subspace", param):
         raise ParameterInvariantViolated(
             f"{what} has a component of size {norm2(leak):.3e} against the defect kernel"
         )
-    if not loewner_leq(np.zeros_like(gram), gram, tol):
+    if not _nonnegative(gram, tol):
         raise exc(f"{what} is not J-contractive")
     return param - leak
 
@@ -268,7 +265,7 @@ def _defect_solve(spec: SpectralDecomposition, rhs: np.ndarray, tol: TolerancePr
     ``|M|^{1/2} sol = rhs``, the kernel part ``V_ker Y_ker`` of ``rhs``, is small."""
     y = spec.eigenvectors.T @ rhs
     residual, _ = spec._kernel_split(y)
-    if not norm_leq(residual, lambda nr: tol.residual * (1.0 + nr), rhs):
+    if not _small(residual, tol, "residual", rhs):
         raise RangeInclusionFailed(
             f"ran {what} is not contained in the defect subspace (residual {norm2(residual):.3e})"
         )
@@ -362,10 +359,10 @@ def _parameter_gate(p: LiftParameters, sides, tol: ToleranceProfile,
     """
     g1 = _check_parameter(p.gamma1, sides[0], tol, "gamma1", exc)
     g2t = _check_parameter(p.gamma2.T, sides[1], tol, "gamma2^T", exc)
-    if not norm_leq(p.gamma, lambda: 1.0 + tol.psd):
+    if not _contractive(p.gamma, tol):
         raise ParameterInvariantViolated(f"gamma has norm {norm2(p.gamma):.6f} > 1")
-    exact = norm_leq(p.gamma, lambda: 1.0) and all(
-        _order_by_cholesky(side[2], (lambda: 0.0,)) for side in sides
+    exact = _contractive(p.gamma, tol, slack=False) and all(
+        _nonnegative(side[2], tol, slack=False) for side in sides
     )
     return LiftParameters(gamma1=g1, gamma2=g2t.T, gamma=p.gamma), exact
 
@@ -459,7 +456,7 @@ def extract_lift_parameters(
             f"exit dimensions ({n1p}, {n2p}) do not match the exit symmetries"
         )
     compression = t_arr[:n2, :n1]
-    if not norm_leq(compression - d.t, lambda nt: tol.residual * (1.0 + nt), d.t):
+    if not _small(compression - d.t, tol, "residual", d.t):
         raise NotALifting("the candidate does not compress to the original operator")
     targets, counts = _extended_indices(d, j1prime, j2prime, tol)
     r = t_arr[:n2, n1:]
@@ -476,14 +473,13 @@ def extract_lift_parameters(
         residual = x + blocks[2]
         gamma = spec_g2star.pinv_power(0.5) @ residual @ spec_g1.pinv_power(0.5)
         back = spec_g2star.power(0.5) @ gamma @ spec_g1.power(0.5)
-        if not norm_leq(back - residual, lambda nr: tol.residual * (1.0 + nr), residual):
+        if not _small(back - residual, tol, "residual", residual):
             raise RangeInclusionFailed(
                 "the corner residual does not factor through the parameter defects"
             )
         params = LiftParameters(gamma1=gamma1, gamma2=gamma2, gamma=gamma)
-        if _parameter_gate(params, sides, tol)[1] and norm_leq(
-            _assemble(d, blocks, gamma, spec_g1, spec_g2star) - t_arr,
-            lambda nt: 0.5 * tol.zero * (1.0 + nt), t_arr,
+        if _parameter_gate(params, sides, tol)[1] and _small(
+            _assemble(d, blocks, gamma, spec_g1, spec_g2star) - t_arr, tol, "zero", t_arr, weight=0.5,
         ):
             return params
     except (RangeInclusionFailed, ParameterInvariantViolated) as exc:
@@ -498,7 +494,7 @@ def extract_lift_parameters(
 
 def _require_j_contraction(d: JContractionData, tol: ToleranceProfile) -> None:
     defect = symmetrize(d.j1.j - d.t.T @ d.j2.j @ d.t)
-    if not loewner_leq(np.zeros_like(defect), defect, tol):
+    if not _nonnegative(defect, tol):
         raise NotJContractive("the operator is not a J-contraction")
 
 
@@ -559,7 +555,7 @@ def j_isometry_test(d: JContractionData, tol: ToleranceProfile | None = None) ->
     tol = resolve(tol)
     _require_j_contraction(d, tol)
     gram = symmetrize(d.t.T @ d.j2.j @ d.t)
-    gram_ok = norm_leq(gram - d.j1.j, lambda nt: tol.residual * (1.0 + nt ** 2), d.t)
+    gram_ok = _small(gram - d.j1.j, tol, "residual", d.t, power=2)
     ran_t = orthonormal_columns(d.t, tol)
     ran_dstar = orthonormal_columns(d.d_tstar, tol)
     trivial_kernel = rank_of(d.t, tol) == d.dim1

@@ -23,15 +23,14 @@ from .errors import (
 )
 from .spectral import (
     SpectralDecomposition,
-    _count,
+    _defect_scale,
     _inertia,
     _loewner_leq,
-    _settle,
-    _solve,
+    _mapped_inertias,
+    _small,
     as_matrix,
     as_symmetric,
     norm2,
-    norm_leq,
     spectral_decompose,
     symmetrize,
 )
@@ -111,7 +110,7 @@ class ExtremalPair:
         """``t_min == t_max``, decided algebraically through ``I - V J V^T = 0``."""
         tol = resolve(tol)
         defect = np.eye(self.dim2) - self.v @ self.j @ self.v.T
-        return norm_leq(defect, lambda nv: tol.residual * (1.0 + nv ** 2), self.v)
+        return _small(defect, tol, "residual", self.v, power=2)
 
 
 # I + T, I - T and I - T^2 on the eigenvalues w of T; 1 - w^2 is formed as
@@ -126,15 +125,7 @@ def split_counts(t, tol: ToleranceProfile | None = None) -> tuple[int, int]:
     off ``eigh`` when one lies near a threshold.  Their sum, ``nu_-(I - T^2)``
     by spectral mapping, is asserted by ``verify`` and the tests.
     """
-    tol = resolve(tol)
-    w = _solve(np.linalg.eigvalsh, as_symmetric(t, tol))
-    floor = (1.0 + float(np.max(np.abs(w), initial=0.0))) ** 2
-    counts = [_count(f(w), tol, floor, floor) for f in (_PLUS_T, _MINUS_T)]
-    if None in counts:
-        spec = spectral_decompose(t, tol)
-        counts = [spec.map(f, (1.0 + spec.norm) ** 2).inertia for f in (_PLUS_T, _MINUS_T)]
-    minus, plus = (c.n_minus for c in counts)
-    return minus, plus
+    return tuple(c.n_minus for c in _mapped_inertias(t, tol, _defect_scale, (_PLUS_T, _MINUS_T)))
 
 
 def _column_counts(col: SymmetricColumn, tol: ToleranceProfile):
@@ -144,11 +135,10 @@ def _column_counts(col: SymmetricColumn, tol: ToleranceProfile):
     taken at the scale ``(1 + |T1|)^2`` of the whole column.
     """
     t1 = col.stacked()
-    floor = (lambda nt: (1.0 + nt) ** 2, t1)
+    floor = _defect_scale(t1)
     spec = spectral_decompose(col.t11, tol)
     full = _inertia(symmetrize(np.eye(col.dim1) - t1.T @ t1), tol, floor).n_minus
-    head = spec.map(_DEFECT, _settle(_DEFECT(spec.eigenvalues), tol, floor))
-    return spec, head.inertia.n_minus, full
+    return spec, spec.map(_DEFECT, floor).inertia.n_minus, full
 
 
 def solvable(col: SymmetricColumn, tol: ToleranceProfile | None = None) -> bool:
@@ -198,11 +188,11 @@ def extremal_extensions(col: SymmetricColumn, tol: ToleranceProfile | None = Non
             nu_minus_head=head,
             nu_minus_column=full,
         )
-    head_floor = (1.0 + spec.norm) ** 2
+    head_floor = _defect_scale(spec.norm)
     defect = spec.map(_DEFECT, head_floor)
     t_min, t_max, v, j, coupling = _extremal_blocks(col.t11, col.t21, defect)
     # coupling = D V^T = D |I - T11^2|^{[-1/2]} T21^T is the best factor of T21^T
-    if not norm_leq(coupling - col.t21.T, lambda nt: tol.residual * (1.0 + nt), col.t21):
+    if not _small(coupling - col.t21.T, tol, "residual", col.t21):
         raise ConsistencyError(
             f"coupling rows leave the defect range (residual {norm2(coupling - col.t21.T):.3e}) "
             "although the index criterion holds"
@@ -236,7 +226,7 @@ def is_member(pair: ExtremalPair, t, tol: ToleranceProfile | None = None) -> boo
         raise DimensionMismatch(f"T has dim {t_sym.shape[0]}, expected {n}")
     column = pair.t_min[:, :n1]
     gap = t_sym[:, :n1] - column
-    if not norm_leq(gap, lambda nc: tol.residual * (1.0 + nc), column):
+    if not _small(gap, tol, "residual", column):
         raise NotAnExtension(f"first block column differs by {norm2(gap):.3e}")
     corner = t_sym[n1:, n1:]
     return _loewner_leq(pair.t_min[n1:, n1:], corner, tol) and _loewner_leq(corner, pair.t_max[n1:, n1:], tol)

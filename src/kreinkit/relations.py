@@ -1,9 +1,10 @@
 """Linear relations as graph subspaces and their extension theory.
 
 A linear relation on an ``n``-dimensional space is a subspace of the
-doubled space, held here through a read-only orthonormal basis
-``[F; F']`` of its graph (canonicalized on construction, so equality is
-projector equality).  One SVD ``F = U S V^T``, computed on first use,
+doubled space, held here through a read-only basis ``[F; F']`` of its graph.
+The basis is read as orthonormal, so equality is projector equality: the
+library's constructions build it so, and ``LinearRelation(n, basis)`` takes
+it as given, without a check.  One SVD ``F = U S V^T``, computed on first use,
 gives the domain, its complement, the multivalued part and the operator
 part under one rank cutoff.  The module provides the relation calculus
 (adjoint, inverse, shift, Cayley transform), classification and inertia,
@@ -41,14 +42,18 @@ from .errors import (
 )
 from .quasicontraction import ExtremalPair, SymmetricColumn, extremal_extensions
 from .spectral import (
+    Inertia,
+    _cutoff,
+    _inertia,
     _loewner_leq,
+    _nonnegative,
+    _small,
     as_matrix,
     as_symmetric,
     complement_basis,
     inertia_of,
     loewner_leq,
     negativity,
-    norm_leq,
     orthonormal_columns,
     projector,
     spectral_decompose,
@@ -129,14 +134,17 @@ class ExtensionProblem:
 
 
 class LinearRelation:
-    """A subspace of the doubled space, canonicalized to an orthonormal basis.
+    """A subspace of the doubled space, held through an orthonormal basis of its graph.
 
     The basis is a ``(2n, r)`` matrix whose top and bottom halves are the
     first and second components of the spanning graph elements.  Generator
-    representations are wildly non-unique, so everything relation-valued is
-    reduced to this canonical form immediately and compared by projectors.
-    The basis is read-only, so what is computed from it and kept in
-    ``_memo`` stays valid for the relation's lifetime.
+    representations are wildly non-unique, so :meth:`from_generators` and
+    every relation-valued operation here return an orthonormal basis, and
+    relations are compared by projectors.  The constructor takes the basis
+    as given: it checks the row count, not orthonormality, which every
+    comparison and count assumes.  The basis is read-only, so what is
+    computed from it and kept in ``_memo`` stays valid for the relation's
+    lifetime.
     """
 
     def __init__(self, space_dim: int, basis: np.ndarray):
@@ -198,9 +206,8 @@ class LinearRelation:
         relation's).  ``U[:, :r]`` spans the domain, ``U[:, r:]`` its
         complement and ``V[:, r:]`` the multivalued part's graph coordinates.
         """
-        tol = resolve(tol)
         u, s, v = memoized(self, ("graph_svd", None), self._graph_svd)
-        thr = tol.zero * max(self.first.shape) * np.max(s, initial=1.0)
+        thr = _cutoff(resolve(tol), max(self.first.shape), np.max(s, initial=0.0), 1.0)
         return u, s, v, int(np.count_nonzero(s > thr))
 
     def _graph_svd(self):
@@ -264,7 +271,7 @@ class LinearRelation:
         if other.graph_dim == 0:
             return True
         q, b = self.basis, other.basis
-        return norm_leq(b - q @ (q.T @ b), lambda: tol.subspace)
+        return _small(b - q @ (q.T @ b), tol, "subspace")
 
 
 @per_profile
@@ -277,17 +284,23 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
     index of the symmetrized Gram.
     """
     gram_raw = rel.first.T @ rel.second
-    symmetric = norm_leq(gram_raw - gram_raw.T, lambda ng: tol.residual * (1.0 + ng), gram_raw)
+    symmetric = _small(gram_raw - gram_raw.T, tol, "residual", gram_raw)
     selfadjoint = symmetric and rel.graph_dim == rel.space_dim
-    gram = symmetrize(gram_raw)
-    # graph bases are orthonormal, so the form has unit natural scale
-    negatives = negativity(gram, tol, floor=1.0) if gram.size else 0
+    negatives = _form_inertia(rel, tol).n_minus
     return RelationClass(
         symmetric=bool(symmetric),
         selfadjoint=bool(selfadjoint),
         nonnegative=bool(symmetric and negatives == 0),
         form_negativity=negatives,
     )
+
+
+@per_profile
+def _form_inertia(rel: LinearRelation, tol: ToleranceProfile) -> Inertia:
+    """Inertia of the graph form ``sym(F^T F')`` at floor 1, counted once for :func:`classify`
+    and :func:`relation_inertia`: graph bases are orthonormal, so the form has unit natural scale."""
+    gram = symmetrize(rel.first.T @ rel.second)
+    return _inertia(gram, tol, 1.0) if gram.size else Inertia(0, 0, 0)
 
 
 @per_profile
@@ -309,14 +322,20 @@ def operator_part(rel: LinearRelation, tol: ToleranceProfile | None = None):
 
 @per_profile
 def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -> RelationInertia:
-    """Eigenvalue-count quadruplet of a selfadjoint relation."""
-    cls = classify(rel, tol)
-    if not cls.selfadjoint:
+    """Eigenvalue-count quadruplet of a selfadjoint relation, counted on its graph form.
+
+    As ``mul H`` is orthogonal to ``dom H``, the form ``sym(F^T F')`` is congruent
+    to the operator part on the domain, an eigenvalue ``lambda`` showing as
+    ``lambda / (1 + lambda^2)``, and vanishes on ``mul H`` (Azizov & Iokhvidov,
+    1989): ``i_plus`` and ``i_minus`` are its counts at unit scale, ``i_inf`` is
+    ``mul_dim`` and ``i_zero`` the rest, so a domain direction the form reads as
+    zero counts in ``i_zero``.
+    """
+    if not classify(rel, tol).selfadjoint:
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
-    _, spec = _operator_spectrum(rel, tol)
-    counts = spec.with_floor(1.0 + spec.norm).inertia
-    i_inf = rel.space_dim - spec.eigenvalues.size
-    return RelationInertia(counts.n_plus, counts.n_minus, counts.n_zero, i_inf)
+    form, i_inf = _form_inertia(rel, tol), rel.mul_dim(tol)
+    i_zero = rel.space_dim - form.n_plus - form.n_minus - i_inf
+    return RelationInertia(form.n_plus, form.n_minus, i_zero, i_inf)
 
 
 def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -332,7 +351,7 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
     w, d = spec.eigenvalues, u.shape[1]
     if d == 0:
         return np.zeros((rel.space_dim, rel.space_dim))
-    if w[0] - a <= tol.zero * (1.0 + spec.norm):
+    if _small(float(w[0] - a), tol, "zero", spec.norm):
         raise ShiftNotAdmissible(
             f"shift {a} does not stay below the operator-part minimum {w[0]:.6g}"
         )
@@ -344,8 +363,8 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
 def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
     """The operator part ``U^T W`` on the domain and its one decomposition.
 
-    :func:`relation_inertia`, :func:`resolvent_matrix` and the order's
-    shift all read this spectrum, so each operator part is decomposed once.
+    :func:`resolvent_matrix` and the order's shift both read this spectrum,
+    so each operator part is decomposed once.
     """
     u, images = operator_part(rel, tol)
     m = symmetrize(u.T @ images)
@@ -355,6 +374,13 @@ def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
 def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
     w = _operator_spectrum(rel, tol)[1].eigenvalues
     return float(w[0]) if w.size else np.inf
+
+
+def _common_bottom(rels, tol: ToleranceProfile) -> float:
+    """The lowest finite operator-part minimum of ``rels``, or 0 when none is finite:
+    a resolvent shift strictly below it is admissible for each of them."""
+    finite = [m for m in (_operator_minimum(h, tol) for h in rels) if np.isfinite(m)]
+    return min(finite) if finite else 0.0
 
 
 def form_a1(rel: LinearRelation, tol: ToleranceProfile | None = None) -> FormData:
@@ -466,12 +492,10 @@ def relation_leq(h1: LinearRelation, h2: LinearRelation, tol: ToleranceProfile |
             raise NotSelfadjoint("the resolvent order compares selfadjoint relations")
     if h1.space_dim != h2.space_dim:
         raise DimensionMismatch("relations live on spaces of different dimension")
-    mins = [_operator_minimum(h, tol) for h in (h1, h2)]
-    finite = [m for m in mins if np.isfinite(m)]
-    a = (min(finite) if finite else 0.0) - 1.0
+    a = _common_bottom((h1, h2), tol) - 1.0
     r1 = resolvent_matrix(h1, a, tol)
     r2 = resolvent_matrix(h2, a, tol)
-    return _loewner_leq(np.zeros_like(r2), r2, tol) and _loewner_leq(r2, r1, tol)
+    return _nonnegative(r2, tol) and _loewner_leq(r2, r1, tol)
 
 
 def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: ToleranceProfile | None = None) -> bool:
@@ -510,13 +534,7 @@ def resolvent_interval_check(
     """
     tol = resolve(tol)
     a_f, a_k = friedrichs_krein(rel, tol)
-    mins = [
-        _operator_minimum(a_f, tol),
-        _operator_minimum(a_k, tol),
-        _operator_minimum(candidate, tol),
-    ]
-    finite = [m for m in mins if np.isfinite(m)]
-    mu = min(finite) if finite else 0.0
+    mu = _common_bottom((a_f, a_k, candidate), tol)
     if a <= -mu:
         raise ShiftNotAdmissible(f"shift {a} does not exceed {-mu:.6g}")
     r_f = resolvent_matrix(a_f, -a, tol)

@@ -14,6 +14,10 @@ threshold), and an internal floor ``(bound, *operands)`` such as
 An order test ``A <= B`` is settled by Cholesky factorizations of ``B - A``
 shifted to either end of its slack; ``eigvalsh`` runs only near the slack.
 
+Each rule scaling a profile field into a threshold is written once, as a
+private primitive here: :func:`_cutoff`, :func:`_small`, :func:`_contractive`,
+:func:`_nonnegative` and :func:`_defect_scale`.
+
 A symmetric matrix is decomposed once; every spectral quantity is then
 read off the one :class:`SpectralDecomposition`::
 
@@ -109,18 +113,20 @@ class SpectralDecomposition:
         object.__setattr__(self, "tol", tol)
         thr = 0.0
         if self.eigenvalues.size:
-            thr = tol.zero * self.eigenvalues.size * max(self.norm, self.floor)
+            thr = _cutoff(tol, self.eigenvalues.size, self.norm, self.floor)
         object.__setattr__(self, "threshold", thr)
 
     def with_floor(self, floor: float) -> "SpectralDecomposition":
         """The same spectrum re-thresholded under another floor."""
         return replace(self, floor=floor)
 
-    def map(self, f, floor: float) -> "SpectralDecomposition":
-        """``f(A)`` on the same eigenvectors (re-sorted ascending), under ``floor``."""
+    def map(self, f, floor) -> "SpectralDecomposition":
+        """``f(A)`` on the same eigenvectors (re-sorted ascending), under a float or
+        ``(bound, *operands)`` floor."""
         w = f(self.eigenvalues)
         order = np.argsort(w, kind="stable")
-        return SpectralDecomposition(w[order], self.eigenvectors[:, order], self.tol, floor)
+        w = w[order]
+        return SpectralDecomposition(w, self.eigenvectors[:, order], self.tol, _settle(w, self.tol, floor))
 
     @property
     def norm(self) -> float:
@@ -307,6 +313,53 @@ def norm_leq(r, bound, *operands) -> bool:
     return bool((r if isinstance(r, float) else norm2(r)) <= _exact_bound(bound, *operands))
 
 
+# ---------------------------------------------------------------------------
+# scale rules: the one place where a profile field is scaled into a threshold
+
+
+def _cutoff(tol: ToleranceProfile, size: int, norm: float, floor: float = 0.0) -> float:
+    """The zero threshold ``zero * size * max(norm, floor)`` of a count or a rank."""
+    return tol.zero * size * max(norm, floor)
+
+
+def _relative(c: float, power: int):
+    """The bound ``c (1 + n1^p + n2^p + ...)`` on the norms ``n1, n2, ...``, summed left to right."""
+
+    def bound(*norms: float) -> float:
+        scale = 1.0
+        for n in norms:
+            scale = scale + (n if power == 1 else n ** power)
+        return c * scale
+
+    return bound
+
+
+def _small(r, tol: ToleranceProfile, field: str, *operands, power: int = 1, weight: float = 1.0) -> bool:
+    """``norm2(r) <= weight c (1 + |X1|^p + ...)`` for ``c = tol.<field>`` (``weight c`` with no
+    operands), by :func:`norm_leq`: floats are known norms, and a float ``r`` is compared as it is."""
+    return norm_leq(r, _relative(weight * getattr(tol, field), power), *operands)
+
+
+def _contractive(g, tol: ToleranceProfile, slack: bool = True) -> bool:
+    """``norm2(g) <= 1 + psd``, or ``norm2(g) <= 1`` with no slack."""
+    return norm_leq(g, lambda: 1.0 + tol.psd if slack else 1.0)
+
+
+def _nonnegative(g, tol: ToleranceProfile, slack: bool = True) -> bool:
+    """The order ``0 <= G`` within the slack ``psd (1 + |G|)`` of :func:`loewner_leq`; with no
+    slack, whether a Cholesky factorization certifies ``G`` positive definite."""
+    g = as_symmetric(g, tol)
+    if slack:
+        return _loewner_leq(np.zeros_like(g), g, resolve(tol))
+    return _order_by_cholesky(g, (lambda: 0.0,)) is True
+
+
+def _defect_scale(t):
+    """The natural scale ``(1 + |T|)^2`` of a defect form built from ``T``: a float for a
+    float ``T`` (a known norm), otherwise the certified floor ``(_defect_scale, T)``."""
+    return (1.0 + t) ** 2 if isinstance(t, float) else (_defect_scale, t)
+
+
 def spectral_decompose(
     a, tol: ToleranceProfile | None = None, floor: float = 0.0
 ) -> SpectralDecomposition:
@@ -332,8 +385,8 @@ def _count(w: np.ndarray, tol: ToleranceProfile, lo: float, hi: float) -> Inerti
     ``eigvalsh`` and ``eigh`` differ (Golub & Van Loan, §8.1), so a count returned is ``eigh``'s."""
     absw = np.abs(w)
     norm = float(np.max(absw, initial=0.0))
-    thr, guard = tol.zero * w.size * max(norm, lo), _GUARD * max(norm, lo)
-    if np.any((absw >= thr - guard) & (absw <= tol.zero * w.size * max(norm, hi) + guard)):
+    thr, guard = _cutoff(tol, w.size, norm, lo), _GUARD * max(norm, lo)
+    if np.any((absw >= thr - guard) & (absw <= _cutoff(tol, w.size, norm, hi) + guard)):
         return None
     n_minus = int(np.count_nonzero(w < -thr))
     n_plus = int(np.count_nonzero(w > thr))
@@ -359,10 +412,23 @@ def _decompose(a, tol: ToleranceProfile | None, floor) -> SpectralDecomposition:
 
 def _inertia(a, tol: ToleranceProfile | None, floor) -> Inertia:
     """:func:`inertia_of` under a float or ``(bound, *operands)`` floor, off one ``eigvalsh``."""
+    return _mapped_inertias(a, tol, floor, (np.asarray,))[0]
+
+
+def _mapped_inertias(a, tol: ToleranceProfile | None, floor, maps) -> list[Inertia]:
+    """Inertias of ``f(A)`` for each ``f`` of ``maps``, off one ``eigvalsh`` of ``A`` (``eigh``
+    only near a threshold), under a float or ``(bound, *operands)`` floor or a function of ``|A|``."""
     tol = resolve(tol)
     sym = as_symmetric(a, tol)
-    got = _count(_solve(np.linalg.eigvalsh, sym), tol, *_bound_span(floor))
-    return got if got is not None else _decompose(sym, tol, floor).inertia
+    w = _solve(np.linalg.eigvalsh, sym)
+    at = floor(float(np.max(np.abs(w), initial=0.0))) if callable(floor) else floor
+    span = _bound_span(at)
+    counts = [_count(f(w), tol, *span) for f in maps]
+    if None not in counts:
+        return counts
+    spec = _decompose(sym, tol, 0.0)
+    at = floor(spec.norm) if callable(floor) else floor
+    return [spec.map(f, at).inertia for f in maps]
 
 
 def inertia_of(a, tol: ToleranceProfile | None = None, floor: float = 0.0) -> Inertia:
@@ -417,7 +483,7 @@ def range_factor(m, b, tol: ToleranceProfile | None = None) -> np.ndarray | None
             f"row count of B ({b_arr.shape[0]}) must equal dim of M ({m_sym.shape[0]})"
         )
     s = pinv_symmetric(m_sym, tol) @ b_arr
-    if not norm_leq(m_sym @ s - b_arr, lambda nb: tol.residual * (1.0 + nb), b_arr):
+    if not _small(m_sym @ s - b_arr, tol, "residual", b_arr):
         return None
     return s
 
@@ -443,7 +509,7 @@ def _loewner_leq(a_sym: np.ndarray, b_sym: np.ndarray, tol: ToleranceProfile) ->
     inside and just outside the slack settle it; only between them does ``eigvalsh`` run,
     with the norms (by :func:`norm_leq`) only below ``-psd``."""
     gap = symmetrize(b_sym - a_sym)
-    slack = (lambda na, nb: tol.psd * (1.0 + na + nb), a_sym, b_sym)
+    slack = (_relative(tol.psd, 1), a_sym, b_sym)
     verdict = _order_by_cholesky(gap, slack)
     if verdict is not None:
         return verdict
@@ -500,8 +566,7 @@ def orthonormal_columns(m, tol: ToleranceProfile | None = None, floor: float = 0
         return np.zeros((arr.shape[0], 0))
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     # a zero matrix has s[0] == 0 and keeps no column
-    thr = tol.zero * max(arr.shape) * max(s[0], floor)
-    return u[:, s > thr]
+    return u[:, s > _cutoff(tol, max(arr.shape), s[0], floor)]
 
 
 def complement_basis(q, n: int | None = None) -> np.ndarray:
@@ -520,8 +585,7 @@ def rank_of(m, tol: ToleranceProfile | None = None) -> int:
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    thr = tol.zero * max(arr.shape) * s[0]
-    return int(np.count_nonzero(s > thr))
+    return int(np.count_nonzero(s > _cutoff(tol, max(arr.shape), s[0])))
 
 
 def projector(q) -> np.ndarray:
@@ -536,8 +600,7 @@ def subspace_distance(q1, q2) -> float:
 
 
 def subspaces_equal(q1, q2, tol: ToleranceProfile | None = None) -> bool:
-    tol = resolve(tol)
-    return norm_leq(projector(q1) - projector(q2), lambda: tol.subspace)
+    return _small(projector(q1) - projector(q2), resolve(tol), "subspace")
 
 
 def intersect_subspaces(q1, q2, tol: ToleranceProfile | None = None) -> np.ndarray:

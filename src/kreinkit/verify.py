@@ -44,6 +44,7 @@ from .quasicontraction import (
 )
 from .relations import (
     LinearRelation,
+    _common_bottom,
     antitonicity_check,
     classify,
     ext_membership,
@@ -666,11 +667,7 @@ def _relations_resolvent_shifts(rng, tol, track):
     rel = gens.random_solvable_relation(rng, n)
     a_f, a_k, _ = _extension_targets(rel, tol)
     members, _ = _sweep_members(rng, rel, tol, count=1)
-    from .relations import _operator_minimum
-
-    mins = [_operator_minimum(h, tol) for h in (a_f, a_k, members[0])]
-    finite = [m for m in mins if np.isfinite(m)]
-    mu = min(finite) if finite else 0.0
+    mu = _common_bottom((a_f, a_k, members[0]), tol)
     for shift in (-mu + 0.1, -mu + 1.0, -mu + 10.0):
         track.expect(resolvent_interval_check(rel, members[0], shift, tol))
 

@@ -27,7 +27,7 @@ from kreinkit.relations import (
     resolvent_matrix,
 )
 from kreinkit.spectral import norm2, orthonormal_columns, subspace_distance
-from kreinkit.tolerances import resolve
+from kreinkit.tolerances import ToleranceProfile, resolve
 
 
 def graph(m):
@@ -137,6 +137,21 @@ def test_relation_inertia():
         relation_inertia(PARTIAL_IDENTITY)
 
 
+def test_relation_inertia_counts_a_form_zero_domain_direction_as_zero():
+    # the form shows an eigenvalue lambda as lambda / (1 + lambda^2), below the
+    # graph's singular value 1 / (1 + lambda^2)^(1/2); under zero = 0.15 both
+    # cutoffs are 0.3, so lambda = +-3.05 (form 0.296, singular value 0.312)
+    # is zero to the form while the graph keeps it in the domain: it is i_zero
+    coarse = ToleranceProfile(zero=0.15)
+    for lam in (3.05, -3.05):
+        rel = graph(np.diag([lam, 1.0]))
+        assert rel.mul_dim(coarse) == 0
+        counts = relation_inertia(rel, coarse)
+        assert (counts.i_plus, counts.i_minus, counts.i_zero, counts.i_inf) == (1, 0, 1, 0)
+        counts = relation_inertia(rel)
+        assert (counts.i_plus, counts.i_minus, counts.i_zero, counts.i_inf) == (1 + (lam > 0), lam < 0, 0, 0)
+
+
 def _near_multivalued(rng, eps):
     """Cayley image of ``T`` with one eigenvalue at ``-1 + eps``.
 
@@ -158,19 +173,22 @@ def _near_multivalued(rng, eps):
 def test_relation_inertia_near_a_multivalued_direction(eps):
     # the operator part has an eigenvalue near 2 / eps, so a domain direction
     # has singular value about eps / 2 and the SVD's roundoff about u / eps;
-    # counts are checked at 1e-7 only: below it the zero threshold, which
-    # scales with that eigenvalue, swallows the smallest of the others
+    # counts are checked down to 1e-8: the graph form shows that eigenvalue
+    # as about eps / 2, above the unit-scale threshold, and the others at
+    # unit scale; at 1e-9 the direction nears the graph cutoff itself
     rng = np.random.default_rng(62)
     for _ in range(100):
         rel, (i_plus, i_minus) = _near_multivalued(rng, eps)
         counts = relation_inertia(rel)
-        if eps >= 1e-7:
+        if eps >= 1e-8:
             assert (counts.i_plus, counts.i_minus, counts.i_zero, counts.i_inf) == (i_plus, i_minus, 0, 0)
 
 
 # (seed, cases) of ``verify --suite all --cases 100`` runs whose extension
 # interval check once failed on a correct SVD near the Friedrichs end
-_EXTENSION_INTERVAL_REPLAYS = [(23, 89), (64, 89), (88, 29), (182, 31), (188, 58)]
+# or on a count read off the operator part at the scale of its largest
+# eigenvalue, near a multivalued direction
+_EXTENSION_INTERVAL_REPLAYS = [(23, 89), (64, 89), (88, 29), (182, 31), (188, 58), (231, 22), (236, 59), (2304, 86)]
 
 
 @pytest.mark.parametrize("seed,cases", _EXTENSION_INTERVAL_REPLAYS)

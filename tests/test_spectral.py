@@ -15,6 +15,7 @@ from kreinkit.spectral import (
     Inertia,
     _decompose,
     _inertia,
+    _nonnegative,
     as_symmetric,
     inertia_of,
     intersect_subspaces,
@@ -439,23 +440,41 @@ def test_loewner_gate_falls_back_only_at_the_slack_of_commuting_pairs(monkeypatc
 
 
 def test_order_verdicts_of_verify_are_the_eigvalsh_verdicts(monkeypatch, capsys):
-    original = loewner_leq
-    recorded = []
+    original, original_nonnegative = loewner_leq, _nonnegative
+    recorded, certified = [], []
 
     def recording(a, b, tol=None):
         verdict = original(a, b, tol)
         recorded.append((np.array(a, dtype=float), np.array(b, dtype=float), resolve(tol), verdict))
         return verdict
 
+    def recording_nonnegative(g, tol, slack=True):
+        verdict = original_nonnegative(g, tol, slack)
+        if slack:
+            recorded.append((np.zeros_like(g, dtype=float), np.array(g, dtype=float), resolve(tol), verdict))
+        else:
+            certified.append((np.array(g, dtype=float), verdict))
+        return verdict
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("kreinkit") and getattr(module, "loewner_leq", None) is original:
-            monkeypatch.setattr(module, "loewner_leq", recording)
+        if name.startswith("kreinkit"):
+            for attr, wrapper, wrapped in (("loewner_leq", recording, original),
+                                           ("_nonnegative", recording_nonnegative, original_nonnegative)):
+                if getattr(module, attr, None) is wrapped:
+                    monkeypatch.setattr(module, attr, wrapper)
     for seed in range(3):
         assert main(["verify", "--suite", "all", "--seed", str(seed), "--cases", "5"]) == 0
     capsys.readouterr()
     assert {verdict for *_, verdict in recorded} == {True, False}
+    # the order tests of every layer, the zero-based ones included
+    assert len(recorded) >= 600
     for a, b, tol, verdict in recorded:
         assert verdict == _head_loewner(as_symmetric(a, tol), as_symmetric(b, tol), tol)
+    # a form certified positive definite with no slack has a positive spectrum
+    # (vacuously on a zero-dimensional space)
+    assert any(verdict and g.size for g, verdict in certified)
+    for g, verdict in certified:
+        assert not verdict or np.min(np.linalg.eigvalsh(g), initial=np.inf) > 0.0
 
 
 def _placed(rng, n, at):
