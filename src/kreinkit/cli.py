@@ -72,10 +72,10 @@ def _tolerances(args) -> ToleranceProfile:
     )
 
 
-def _load_any(path: str):
+def _load_any(path: str, tol: ToleranceProfile):
     doc = jsonio.load_json(path)
     if isinstance(doc, dict) and "generators" in doc:
-        return "relation", jsonio.parse_relation(doc)
+        return "relation", jsonio.parse_relation(doc, tol)
     return "matrix", jsonio.parse_matrix(doc)
 
 
@@ -87,7 +87,7 @@ def _inertia_document(rel, tol) -> dict:
 
 def _cmd_inertia(args) -> int:
     tol = _tolerances(args)
-    kind, value = _load_any(args.path)
+    kind, value = _load_any(args.path, tol)
     if kind == "relation" and not classify(value, tol).selfadjoint:
         print("the relation is not selfadjoint; its inertia is undefined", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -194,7 +194,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_cayley(args) -> int:
     tol = _tolerances(args)
-    rel = jsonio.load_relation(args.relation)
+    rel = jsonio.load_relation(args.relation, tol)
     image = rel.cayley(tol)
     if args.inverse:
         image = image.inverse()
@@ -213,7 +213,7 @@ def _relation_report(rel, tol) -> dict:
 
 def _cmd_extensions(args) -> int:
     tol = _tolerances(args)
-    rel = jsonio.load_relation(args.relation)
+    rel = jsonio.load_relation(args.relation, tol)
     a_f, a_k = friedrichs_krein(rel, tol)
     report = {
         "friedrichs": _relation_report(a_f, tol),
@@ -221,7 +221,7 @@ def _cmd_extensions(args) -> int:
     }
     report["kappa"] = report["friedrichs"]["inertia"]["n_minus"]
     if args.member is not None:
-        candidate = jsonio.load_relation(args.member)
+        candidate = jsonio.load_relation(args.member, tol)
         try:
             report["member"] = bool(ext_membership(rel, candidate, tol))
         except NotAnExtension:

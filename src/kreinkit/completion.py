@@ -37,7 +37,7 @@ from .spectral import (
     spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, per_profile, resolve
+from .tolerances import ToleranceProfile, _freeze, per_profile, resolve
 
 __all__ = [
     "IncompleteBlock",
@@ -65,9 +65,7 @@ class IncompleteBlock:
 
     def __post_init__(self):
         for name, arr in (("a11", as_symmetric(self.a11)), ("a12", as_matrix(self.a12))):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(np.array(arr)))
         if self.a12.shape[0] != self.a11.shape[0]:
             raise DimensionMismatch(
                 f"a12 has {self.a12.shape[0]} rows but a11 has dim {self.a11.shape[0]}"
@@ -98,9 +96,7 @@ class CompletionSolution:
 
     @cached_property
     def j(self) -> np.ndarray:
-        j = self.spectrum.sign()
-        j.flags.writeable = False
-        return j
+        return _freeze(self.spectrum.sign())
 
 
 @per_profile

@@ -9,26 +9,23 @@ bicontraction classification derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatch, HypothesisViolated, InvalidInput
 from .spectral import (
-    _defect_scale,
     _inertia,
     _nonnegative,
     _small,
     as_matrix,
     as_symmetric,
-    inertia_of,
     loewner_leq,
-    negativity,
     rank_of,
     spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, default_tolerances, per_profile, resolve
+from .tolerances import ToleranceProfile, _freeze, default_tolerances, resolve
 
 __all__ = [
     "JSpace",
@@ -47,11 +44,9 @@ class JSpace:
 
     dim: int
     j: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        j = np.array(as_symmetric(self.j))
-        j.flags.writeable = False
+        j = _freeze(np.array(as_symmetric(self.j)))
         object.__setattr__(self, "j", j)
         if j.shape[0] != self.dim:
             raise DimensionMismatch(f"symmetry has dim {j.shape[0]}, expected {self.dim}")
@@ -64,12 +59,13 @@ class JSpace:
 
     @classmethod
     def from_matrix(cls, j) -> "JSpace":
-        j_arr = as_symmetric(j)
-        return cls(j_arr.shape[0], j_arr)
+        """The space of the symmetry ``j``, validated once, by the constructor."""
+        j_arr = np.asarray(j, dtype=float)
+        return cls(j_arr.shape[0] if j_arr.ndim else 0, j_arr)
 
-    @per_profile
     def negativity(self, tol: ToleranceProfile | None = None) -> int:
-        return negativity(self.j, tol)
+        """``nu_-(J) = (dim - tr J) / 2``, exact for an involution; ``tol`` is not read."""
+        return round((self.dim - float(np.trace(self.j))) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -97,31 +93,14 @@ class BicontractionCase:
 def inertia_balance(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None):
     """Inertias of the two defect forms ``J1 - T^T J2 T`` and ``J2 - T J1 T^T``.
 
-    The signed counts balance: ``nu_pm(left) + nu_pm(J2) = nu_pm(right) +
-    nu_pm(J1)`` and the zero counts agree.  Both identities are verified and
-    a :class:`ConsistencyError` is raised if the integer balance fails.
+    They are read off the spectra of :func:`~kreinkit.lifting.defect_data`, which
+    decides both counts, so they balance by construction: ``nu_pm(left) +
+    nu_pm(J2) = nu_pm(right) + nu_pm(J1)`` and the zero counts agree.
     """
-    tol = resolve(tol)
-    t_arr = as_matrix(t)
-    if t_arr.shape != (j2.dim, j1.dim):
-        raise DimensionMismatch(
-            f"T has shape {t_arr.shape}, expected ({j2.dim}, {j1.dim})"
-        )
-    floor = _defect_scale(t_arr)
-    left = _inertia(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, floor)
-    right = _inertia(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, floor)
-    i1 = inertia_of(j1.j, tol)
-    i2 = inertia_of(j2.j, tol)
-    balanced = (
-        left.n_minus + i2.n_minus == right.n_minus + i1.n_minus
-        and left.n_plus + i2.n_plus == right.n_plus + i1.n_plus
-        and left.n_zero == right.n_zero
-    )
-    if not balanced:
-        raise ConsistencyError(
-            f"defect inertia balance failed: {left} vs {right} with J-inertias {i1}, {i2}"
-        )
-    return left, right
+    from .lifting import defect_data  # lifting builds on JSpace
+
+    d = defect_data(t, j1, j2, tol)
+    return d.spec_t.inertia, d.spec_tstar.inertia
 
 
 def _classify(

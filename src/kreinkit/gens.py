@@ -49,20 +49,18 @@ def random_symmetric_with_inertia(
     n: int,
     n_minus: int,
     n_zero: int = 0,
-    spread: tuple[float, float] = (0.4, 2.0),
 ) -> np.ndarray:
     """Symmetric matrix with the prescribed eigenvalue sign counts.
 
-    Nonzero eigenvalues keep magnitude inside ``spread`` so the counts are
+    Nonzero eigenvalues keep magnitude inside ``[0.4, 2]`` so the counts are
     robust under the relative zero threshold.
     """
     if n_minus + n_zero > n:
         raise ValueError("requested inertia exceeds the dimension")
-    lo, hi = spread
     vals = np.concatenate([
-        -rng.uniform(lo, hi, size=n_minus),
+        -rng.uniform(0.4, 2.0, size=n_minus),
         np.zeros(n_zero),
-        rng.uniform(lo, hi, size=n - n_minus - n_zero),
+        rng.uniform(0.4, 2.0, size=n - n_minus - n_zero),
     ])
     q = random_orthogonal(rng, n)
     return symmetrize(q @ np.diag(vals) @ q.T)
@@ -123,17 +121,14 @@ def random_j_contraction_into(
     minus_basis: np.ndarray,
     *,
     isometric: bool = False,
-    pos_scale: float = 0.8,
-    neg_scale: float = 1.25,
     unit_directions: tuple[int, int] = (0, 0),
-    twist: bool = True,
 ) -> np.ndarray:
     """J-contraction from the ``j_src`` space into a signed target subspace.
 
     The target Krein structure is given by orthonormal bases of its
     positive and negative subspaces (full ambient coordinates).  Positive
-    parts of the source are mapped with norm at most ``pos_scale``,
-    negative parts with smallest stretch ``neg_scale``; ``unit_directions``
+    parts of the source are mapped with norm at most 0.8, negative parts
+    with smallest stretch 1.25, then twisted by a J-unitary; ``unit_directions``
     pins that many singular values to one on each side, creating defect
     kernel directions.  With ``isometric`` the construction is an exact
     J-isometry.  Requires at least as many negative target directions as
@@ -158,7 +153,7 @@ def random_j_contraction_into(
         else:
             k = min(unit_directions[0], min(p_t, p_s))
             r = min(p_t, p_s)
-            sing = np.concatenate([np.ones(k), rng.uniform(0.2, pos_scale, size=r - k)])
+            sing = np.concatenate([np.ones(k), rng.uniform(0.2, 0.8, size=r - k)])
             pos_block = (
                 _orthonormal_embed(rng, p_t, r) @ np.diag(sing) @ _orthonormal_embed(rng, p_s, r).T
             )
@@ -169,7 +164,7 @@ def random_j_contraction_into(
         if isometric:
             sing = np.ones(q_s)
         else:
-            sing = np.concatenate([np.ones(k), rng.uniform(neg_scale, neg_scale + 0.5, size=q_s - k)])
+            sing = np.concatenate([np.ones(k), rng.uniform(1.25, 1.75, size=q_s - k)])
         neg_block = (
             _orthonormal_embed(rng, q_t, q_s) @ np.diag(sing) @ random_orthogonal(rng, q_s).T
         )
@@ -180,9 +175,7 @@ def random_j_contraction_into(
         t += plus_basis @ pos_block @ plus_src.T
     if q_s:
         t += minus_basis @ neg_block @ minus_src.T
-    if twist:
-        t = t @ random_j_unitary(rng, j_src)
-    return t
+    return t @ random_j_unitary(rng, j_src)
 
 
 def random_completable_block(
@@ -191,15 +184,13 @@ def random_completable_block(
     n2: int,
     n_minus: int,
     n_zero: int = 0,
-    coupling_scale: float = 1.0,
 ):
     """Completable block data: the coupling factors through ``|a11|^{1/2}``."""
     from .completion import IncompleteBlock
     from .spectral import modulus_power
 
     a11 = random_symmetric_with_inertia(rng, n1, n_minus, min(n_zero, n1 - n_minus))
-    r = rng.standard_normal((n1, n2)) * coupling_scale
-    a12 = modulus_power(a11, 0.5, floor=norm2(a11)) @ r
+    a12 = modulus_power(a11, 0.5, floor=norm2(a11)) @ rng.standard_normal((n1, n2))
     return IncompleteBlock(a11, a12)
 
 
@@ -315,7 +306,6 @@ def random_selfadjoint_relation(
     rng: np.random.Generator,
     n: int,
     mul_dim: int = 0,
-    eigenvalues: np.ndarray | None = None,
 ):
     """Selfadjoint relation: an operator part plus a multivalued block."""
     from .relations import LinearRelation
@@ -326,13 +316,8 @@ def random_selfadjoint_relation(
     basis = random_orthogonal(rng, n)
     u = basis[:, :d]
     u_mul = basis[:, d:]
-    if eigenvalues is None:
-        m = random_symmetric(rng, d)
-    else:
-        q = random_orthogonal(rng, d)
-        m = symmetrize(q @ np.diag(np.asarray(eigenvalues, dtype=float)) @ q.T)
     f = np.hstack([u, np.zeros((n, mul_dim))])
-    fp = np.hstack([u @ m, u_mul])
+    fp = np.hstack([u @ random_symmetric(rng, d), u_mul])
     return LinearRelation.from_generators(f, fp)
 
 

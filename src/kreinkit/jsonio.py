@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInput
 from .relations import LinearRelation
 from .spectral import as_matrix
+from .tolerances import ToleranceProfile
 
 __all__ = [
     "load_json",
@@ -67,7 +68,8 @@ def load_matrix(path: str) -> np.ndarray:
     return parse_matrix(load_json(path))
 
 
-def parse_relation(doc) -> LinearRelation:
+def parse_relation(doc, tol: ToleranceProfile | None = None) -> LinearRelation:
+    """The relation spanned by a document's generators, their rank cut under ``tol``."""
     if not isinstance(doc, dict) or not {"dim", "generators"} <= set(doc):
         raise InvalidInput("relation document needs 'dim' and 'generators'")
     dim = doc["dim"]
@@ -92,11 +94,11 @@ def parse_relation(doc) -> LinearRelation:
         raise InvalidInput(f"generator data is not numeric: {exc}") from exc
     if f.size and not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
         raise InvalidInput("generator vectors have non-finite entries")
-    return LinearRelation.from_generators(f, fp)
+    return LinearRelation.from_generators(f, fp, tol)
 
 
-def load_relation(path: str) -> LinearRelation:
-    return parse_relation(load_json(path))
+def load_relation(path: str, tol: ToleranceProfile | None = None) -> LinearRelation:
+    return parse_relation(load_json(path), tol)
 
 
 def matrix_document(m) -> dict:

@@ -63,7 +63,7 @@ from .spectral import (
     subspaces_equal,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, resolve
+from .tolerances import ToleranceProfile, _freeze, resolve
 
 __all__ = [
     "JContractionData",
@@ -84,17 +84,22 @@ __all__ = [
 ]
 
 
+def _kept(compose):
+    """An operator composed by ``compose(self)`` on first read, then kept read-only."""
+    return cached_property(lambda self: _freeze(compose(self)))
+
+
 @dataclass(frozen=True)
 class JContractionData:
     """An operator between two J-spaces with its defect machinery.
 
     ``spec_t``/``spec_tstar`` are the decompositions of the defect forms
     ``J1 - T^T J2 T`` and ``J2 - T J1 T^T`` and ``kappa1``/``kappa2`` their
-    negative indices; only :func:`defect_data` builds this value.  The
-    defect moduli ``d_t``/``d_tstar``, their signatures ``jt``/``jtstar``
-    and the link operators ``l_t``/``l_tstar`` (full-space matrices
-    vanishing off the defect subspaces) are composed off the spectra on
-    first read and then kept.
+    negative indices; only :func:`defect_data` builds this value, and ``t``
+    is its read-only copy.  The defect moduli ``d_t``/``d_tstar``, their
+    signatures ``jt``/``jtstar`` and the link operators ``l_t``/``l_tstar``
+    (full-space matrices vanishing off the defect subspaces) are composed
+    off the spectra on first read and then kept, read-only.
     """
 
     t: np.ndarray
@@ -105,12 +110,12 @@ class JContractionData:
     spec_t: SpectralDecomposition
     spec_tstar: SpectralDecomposition
 
-    d_t = cached_property(lambda self: self.spec_t.power(0.5))
-    d_tstar = cached_property(lambda self: self.spec_tstar.power(0.5))
-    jt = cached_property(lambda self: self.spec_t.sign())
-    jtstar = cached_property(lambda self: self.spec_tstar.sign())
-    l_t = cached_property(lambda self: self.spec_tstar.pinv_power(0.5) @ self.t @ self.j1.j @ self.d_t)
-    l_tstar = cached_property(lambda self: self.spec_t.pinv_power(0.5) @ self.t.T @ self.j2.j @ self.d_tstar)
+    d_t = _kept(lambda self: self.spec_t.power(0.5))
+    d_tstar = _kept(lambda self: self.spec_tstar.power(0.5))
+    jt = _kept(lambda self: self.spec_t.sign())
+    jtstar = _kept(lambda self: self.spec_tstar.sign())
+    l_t = _kept(lambda self: self.spec_tstar.pinv_power(0.5) @ self.t @ self.j1.j @ self.d_t)
+    l_tstar = _kept(lambda self: self.spec_t.pinv_power(0.5) @ self.t.T @ self.j2.j @ self.d_tstar)
 
     @property
     def dim1(self) -> int:
@@ -158,28 +163,30 @@ def _shaped(a, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def defect_data(t, j1: JSpace, j2: JSpace, tol: ToleranceProfile | None = None) -> JContractionData:
-    """Decompose the two defect forms (two ``eigh``, nothing more) and count their indices.
+    """Decompose the two defect forms (two ``eigh``) and decide both indices.
 
-    The operators of :class:`JContractionData` are composed when first read.
-    The link operators, by Moore-Penrose pseudo-inversion, are the unique
-    operators satisfying the defining relations while vanishing on the
-    defect kernels; those relations are asserted by the verifier's link
-    check and :func:`verify_link_identities`, not here.
+    Both forms are Schur complements of ``M = [[J1, T^T], [T, J2]]``, so
+    ``kappa1 + nu_-(J2) = kappa2 + nu_-(J1)`` and the zero counts agree
+    (Haynsworth, Linear Algebra Appl., 1968).  Where the two counts break that
+    balance, one count of ``M`` at its own scale decides both, and each spectrum
+    is re-thresholded to meet it (:class:`ConsistencyError` if none can).  The
+    link operators, composed when first read, are the Moore-Penrose solutions of
+    their defining relations, which :func:`verify_link_identities` asserts.
     """
     tol = resolve(tol)
-    t_arr = _shaped(t, (j2.dim, j1.dim), "T")
+    t_arr = _freeze(np.array(_shaped(t, (j2.dim, j1.dim), "T")))
     scale = _defect_scale(t_arr)
     spec1 = _decompose(symmetrize(j1.j - t_arr.T @ j2.j @ t_arr), tol, scale)
     spec2 = _decompose(symmetrize(j2.j - t_arr @ j1.j @ t_arr.T), tol, scale)
-    return JContractionData(
-        t=t_arr,
-        j1=j1,
-        j2=j2,
-        kappa1=spec1.inertia.n_minus,
-        kappa2=spec2.inertia.n_minus,
-        spec_t=spec1,
-        spec_tstar=spec2,
-    )
+    nu1, nu2 = j1.negativity(), j2.negativity()
+    i1, i2 = spec1.inertia, spec2.inertia
+    if i1.n_minus + nu2 != i2.n_minus + nu1 or i1.n_zero != i2.n_zero:
+        m = _inertia(np.block([[j1.j, t_arr.T], [t_arr, j2.j]]), tol, 0.0)
+        met = spec1._meeting(m.n_minus - nu2, m.n_zero), spec2._meeting(m.n_minus - nu1, m.n_zero)
+        if None in met:
+            raise ConsistencyError(f"the defect spectra meet no threshold giving the inertia {m} of M")
+        spec1, spec2 = met
+    return JContractionData(t_arr, j1, j2, spec1.inertia.n_minus, spec2.inertia.n_minus, spec1, spec2)
 
 
 def verify_link_identities(d: JContractionData, tol: ToleranceProfile | None = None) -> bool:

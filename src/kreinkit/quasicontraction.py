@@ -34,7 +34,7 @@ from .spectral import (
     spectral_decompose,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, resolve
+from .tolerances import ToleranceProfile, _freeze, resolve
 
 __all__ = [
     "SymmetricColumn",
@@ -57,9 +57,7 @@ class SymmetricColumn:
 
     def __post_init__(self):
         for name, arr in (("t11", as_symmetric(self.t11)), ("t21", as_matrix(self.t21))):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(np.array(arr)))
         if self.t21.shape[1] != self.t11.shape[0]:
             raise DimensionMismatch(
                 f"t21 has {self.t21.shape[1]} columns but t11 has dim {self.t11.shape[0]}"

@@ -60,7 +60,7 @@ from .spectral import (
     subspaces_equal,
     symmetrize,
 )
-from .tolerances import ToleranceProfile, memoized, per_profile, resolve
+from .tolerances import ToleranceProfile, _freeze, memoized, per_profile, resolve
 
 __all__ = [
     "LinearRelation",
@@ -155,8 +155,7 @@ class LinearRelation:
                 f"a graph basis on a {self.space_dim}-dimensional space needs "
                 f"{2 * self.space_dim} rows, got shape {arr.shape}"
             )
-        arr.flags.writeable = False
-        self._basis = arr
+        self._basis = _freeze(arr)
         self._memo = {}
 
     # -- constructors -------------------------------------------------

@@ -120,6 +120,27 @@ class SpectralDecomposition:
         """The same spectrum re-thresholded under another floor."""
         return replace(self, floor=floor)
 
+    def _meeting(self, n_minus: int, n_zero: int) -> "SpectralDecomposition | None":
+        """The same spectrum counting ``n_minus`` negatives and ``n_zero`` zeros, or ``None``.
+
+        The threshold is kept if it already counts ``n_zero`` zeros, and is moved
+        otherwise to the middle of the gap between the ``n_zero``-th and the next
+        eigenvalue modulus; the kernel, the projectors and the powers follow it.
+        """
+        if not 0 <= n_zero <= self.eigenvalues.size:
+            return None
+        lo, hi = np.concatenate([[0.0], np.sort(np.abs(self.eigenvalues)), [math.inf]])[n_zero:n_zero + 2]
+        thr = self.threshold
+        if not lo <= thr < hi:
+            thr = lo if hi == math.inf else (lo + hi) / 2.0
+        if not lo <= thr < hi or np.count_nonzero(self.eigenvalues < -thr) != n_minus:
+            return None
+        if thr == self.threshold:
+            return self
+        out = replace(self)
+        object.__setattr__(out, "threshold", float(thr))
+        return out
+
     def map(self, f, floor) -> "SpectralDecomposition":
         """``f(A)`` on the same eigenvectors (re-sorted ascending), under a float or
         ``(bound, *operands)`` floor."""

@@ -100,7 +100,9 @@ def per_profile(fn):
     return wrapper
 
 
-def _freeze(value) -> None:
+def _freeze(value):
+    """Make every array reachable through ``value``'s tuples and dataclass fields
+    read-only, and return ``value``."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, tuple):
@@ -109,3 +111,4 @@ def _freeze(value) -> None:
     elif is_dataclass(value):
         for f in fields(value):
             _freeze(getattr(value, f.name))
+    return value

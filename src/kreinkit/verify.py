@@ -189,8 +189,10 @@ def _factor_balance(rng, tol, track):
     j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
     j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
     t = rng.standard_normal((n2, n1)) * rng.uniform(0.3, 1.6)
-    # inertia_balance raises on a failed balance
-    inertia_balance(t, j1, j2, tol)
+    left, right = inertia_balance(t, j1, j2, tol)
+    # the J's counted by their own spectra, not by JSpace's trace
+    nu1, nu2 = negativity(j1.j, tol), negativity(j2.j, tol)
+    track.expect(left.n_minus + nu2 == right.n_minus + nu1 and left.n_zero == right.n_zero)
 
 
 def _factor_schur_roundtrip(rng, tol, track):

@@ -262,6 +262,23 @@ def test_extensions_command(tmp_path, capsys):
     assert np.allclose(mul_direction, [0.0, 1.0])
 
 
+def test_tol_reaches_relation_files(tmp_path, capsys):
+    # the second generator leans 1e-6 off the first: two directions under the
+    # default profile, one under zero = 1e-3, which the relation files obey
+    rel = write(tmp_path, "rel.json", {
+        "dim": 2, "generators": [{"f": [1.0, 0.0], "fp": [0.0, 0.0]}, {"f": [1.0, 1e-6], "fp": [0.0, 0.0]}],
+    })
+    for tol, kept, member in (([], 2, True), (["--tol", "1e-3"], 1, False)):
+        assert main(["cayley", rel, *tol]) == 0
+        assert len(json.loads(capsys.readouterr().out)["generators"]) == kept
+        # the candidate is read under the same profile: the selfadjoint zero
+        # operator extends itself, the one-dimensional restriction does not
+        assert main(["extensions", rel, "--member", rel, *tol]) == 0
+        assert json.loads(capsys.readouterr().out)["member"] is member
+        assert main(["inertia", rel, *tol]) == (0 if member else 2)
+        capsys.readouterr()
+
+
 def test_verify_command_small(capsys):
     assert main(["verify", "--suite", "completion", "--seed", "7", "--cases", "5"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ import pytest
 from kreinkit import gens, jsonio
 from kreinkit.cli import main
 from kreinkit.completion import IncompleteBlock, is_solution, minimal_completion, schur_inertia
-from kreinkit.factor import JSpace
+from kreinkit.factor import JSpace, inertia_balance
 from kreinkit.lifting import defect_data, extract_lift_parameters, lift
 from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_member, split_counts
 from kreinkit.relations import (
@@ -142,6 +142,12 @@ def test_defect_data_decomposes_each_defect_form_once(eigh_calls):
     assert _count(eigh_calls, defect_data, T, j1, JSpace.identity(2)) == 2
 
 
+def test_inertia_balance_reads_the_two_defect_spectra(eigh_calls, eigvalsh_calls):
+    j1 = JSpace.from_matrix(np.diag([1.0, -1.0]))
+    assert _count(eigh_calls, inertia_balance, T, j1, JSpace.identity(2)) == 2
+    assert eigvalsh_calls == []
+
+
 def test_split_counts_decomposes_t_once(decompositions):
     # I + T, I - T and I - T^2 are read off one spectrum of T
     assert _count(decompositions, split_counts, T + T.T) == 1
@@ -242,6 +248,20 @@ def test_desk_liftings_compose_and_factor_nothing_of_the_base_size(
     assert nothing_of_the_base_size()
     # none of the six defect operators was composed on that path
     assert not {"d_t", "d_tstar", "jt", "jtstar", "l_t", "l_tstar"} & set(vars(data))
+
+
+def test_a_balanced_defect_data_at_desk_scale_makes_two_eigh_and_nothing_else(
+    monkeypatch, eigh_calls, norm2_calls
+):
+    d = _desk_lift_instance()[0]
+    others = []
+    for name in ("eigvalsh", "svd", "lstsq", "solve", "cholesky", "qr"):
+        _counting(monkeypatch, name, others)
+    eigh_calls.clear()
+    norm2_calls.clear()
+    data = defect_data(d.t, d.j1, d.j2)
+    assert eigh_calls == [(250, 250), (250, 250)] and others == [] and norm2_calls == []
+    assert data.spec_t is not d.spec_t and (data.kappa1, data.kappa2) == (d.kappa1, d.kappa2)
 
 
 def test_desk_completion_composes_nothing_of_the_block_size(compose_sizes):
@@ -446,11 +466,10 @@ def test_uniqueness_after_the_extremes_makes_no_lapack_call(monkeypatch, norm2_c
     assert calls == [] and norm2_calls == []
 
 
-def test_a_j_space_counts_its_negative_index_once(eigvalsh_calls):
+def test_a_j_space_counts_its_negative_index_once(decompositions):
+    # nu_-(J) = (dim - tr J) / 2 for an involution: no decomposition at all
     space, tol = JSpace.from_matrix(np.diag([1.0, -1.0, -1.0])), ToleranceProfile()
-    assert _count(eigvalsh_calls, space.negativity, tol) == 1
-    # asked again under the same profile, the space reads the kept count
-    assert _count(eigvalsh_calls, space.negativity, tol) == 0
+    assert _count(decompositions, space.negativity, tol) == 0
     assert space.negativity(tol) == 2
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,25 @@ def test_inertia_balance_property():
         left, right = inertia_balance(t, j1, j2)
         assert left.n_minus + nu_minus(j2.j) == right.n_minus + nu_minus(j1.j)
         assert left.n_zero == right.n_zero
+
+
+def test_verify_fails_the_balance_check_on_unbalanced_defect_counts(monkeypatch, capsys):
+    # inertia_balance reads defect_data's spectra; with every eigenvalue of
+    # J1 - T^T J2 T counted as zero they break the balance, and only the
+    # verifier's own count of the J's sees it
+    from kreinkit import lifting
+    from kreinkit.cli import main
+
+    original = lifting.defect_data
+
+    def unbalanced(t, j1, j2, tol=None):
+        d = original(t, j1, j2, tol)
+        return dataclasses.replace(d, spec_t=d.spec_t.with_floor(1e12))
+
+    monkeypatch.setattr(lifting, "defect_data", unbalanced)
+    assert main(["verify", "--suite", "factor", "--seed", "0", "--cases", "20"]) == 1
+    failing = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")}
+    assert failing == {"factor.inertia_balance"}
 
 
 def test_schur_negativity_factor_example():

@@ -16,7 +16,7 @@ from kreinkit.errors import (
     ParameterInvariantViolated,
     RangeInclusionFailed,
 )
-from kreinkit.factor import JSpace
+from kreinkit.factor import JSpace, inertia_balance
 from kreinkit.lifting import (
     LiftParameters,
     _assemble,
@@ -43,6 +43,8 @@ from kreinkit.lifting import (
     verify_link_identities,
 )
 from kreinkit.spectral import (
+    SpectralDecomposition,
+    _decompose,
     _inertia,
     as_matrix,
     norm2,
@@ -53,7 +55,7 @@ from kreinkit.spectral import (
     subspace_distance,
     symmetrize,
 )
-from kreinkit.tolerances import resolve
+from kreinkit.tolerances import ToleranceProfile, resolve
 
 J1 = JSpace.identity(1)
 
@@ -134,6 +136,108 @@ def test_defect_operators_are_composed_once_by_their_expressions():
         for name, value in expected.items():
             first = getattr(d, name)
             assert first.tobytes() == value.tobytes() and getattr(d, name) is first, name
+
+
+def test_defect_data_holds_read_only_copies():
+    t = np.array([[2.0, 0.5], [0.0, 0.3]])
+    d = defect_data(t, JSpace.identity(2), JSpace.from_matrix(np.diag([1.0, -1.0])))
+    kept = d.t.copy()
+    t[0, 0] = 7.0
+    assert np.array_equal(d.t, kept)
+    for name in ("t", "d_t", "d_tstar", "jt", "jtstar", "l_t", "l_tstar"):
+        with pytest.raises(ValueError):
+            getattr(d, name)[0, 0] = 1.0
+
+
+def _reference_defect_counts(t, j1, j2, tol):
+    """The two defect forms counted apart, each at its own threshold, as before the
+    balance had one owner: ``(kappa, zero count, threshold)`` of each side."""
+    scale = _defect_scale(as_matrix(t))
+    sides = (symmetrize(j1.j - t.T @ j2.j @ t), symmetrize(j2.j - t @ j1.j @ t.T))
+    specs = [_decompose(m, tol, scale) for m in sides]
+    return tuple((s.inertia.n_minus, s.inertia.n_zero, s.threshold) for s in specs)
+
+
+def _balance_instances(rng):
+    """Operators between J-spaces: dense, rank-deficient, and J-contractions with
+    defect kernels (a unit singular value on each side), at n1, n2 in 1..8 and,
+    every 50th, at 60."""
+    for k in range(2100):
+        n1, n2 = (60, 60) if k % 50 == 0 else (int(m) for m in rng.integers(1, 9, size=2))
+        j1 = JSpace.from_matrix(gens.random_symmetry(rng, n1, int(rng.integers(0, n1 + 1))))
+        if k % 3 == 2 and j1.negativity() <= n2:
+            q = gens.random_orthogonal(rng, n2)
+            minus = int(rng.integers(j1.negativity(), n2 + 1))
+            j2 = JSpace.from_matrix(symmetrize((q * np.r_[-np.ones(minus), np.ones(n2 - minus)]) @ q.T))
+            t = gens.random_j_contraction_into(rng, j1.j, q[:, minus:], q[:, :minus], unit_directions=(1, 1))
+        else:
+            j2 = JSpace.from_matrix(gens.random_symmetry(rng, n2, int(rng.integers(0, n2 + 1))))
+            if k % 3 == 1:
+                rank = int(rng.integers(0, min(n1, n2)))
+                t = rng.standard_normal((n2, rank)) @ rng.standard_normal((rank, n1))
+            else:
+                t = rng.standard_normal((n2, n1)) * rng.uniform(0.3, 1.6)
+        yield t, j1, j2
+
+
+def test_defect_indices_agree_with_the_separate_counts_wherever_those_balance():
+    # a balanced pair of separate counts is kept as it is, counts and
+    # thresholds; every pair defect_data returns balances
+    rng, tol = np.random.default_rng(2623), resolve(None)
+    kept = 0
+    for t, j1, j2 in _balance_instances(rng):
+        ref = _reference_defect_counts(t, j1, j2, tol)
+        d = defect_data(t, j1, j2, tol)
+        got = tuple((s.inertia.n_minus, s.inertia.n_zero, s.threshold) for s in (d.spec_t, d.spec_tstar))
+        nu1, nu2 = _inertia(j1.j, tol, 0.0).n_minus, _inertia(j2.j, tol, 0.0).n_minus
+        assert (d.kappa1, d.kappa2) == (got[0][0], got[1][0])
+        assert got[0][0] + nu2 == got[1][0] + nu1 and got[0][1] == got[1][1]
+        if ref[0][0] + nu2 == ref[1][0] + nu1 and ref[0][1] == ref[1][1]:
+            assert got == ref
+            kept += 1
+    assert kept >= 2000
+
+
+def test_defect_indices_balance_on_the_desk_build_instance_that_broke_them():
+    # the generator calls of perfbench's DeskBuild(2623)._draw(19) (n = 250,
+    # exit 20) up to its lifting operator; counted apart, the defect forms
+    # gave (125, 182) against nu_-(J1) = 66 and nu_-(J2) = 124
+    rng = np.random.default_rng([2623, 19])
+    kappa = int(rng.integers(1, 6))
+    gens.random_completable_block(rng, 250, 250, kappa, int(rng.integers(0, 3)))
+    gens.random_orthogonal(rng, 250), rng.uniform(0.2, 1.0, size=250)
+    j1 = JSpace.from_matrix(gens.random_symmetry(rng, 250, int(rng.integers(0, 251))))
+    j2 = JSpace.from_matrix(gens.random_symmetry(rng, 250, int(rng.integers(0, 251))))
+    t = rng.standard_normal((250, 250)) * 1.2
+    tol = resolve(None)
+    ref = _reference_defect_counts(t, j1, j2, tol)
+    assert (ref[0][0], ref[1][0]) == (125, 182)
+    d = defect_data(t, j1, j2)
+    assert (d.kappa1, d.kappa2, j1.negativity(), j2.negativity()) == (125, 183, 66, 124)
+    # the side that kept its count kept its threshold; the moved side's
+    # kernel follows its index, and inertia_balance reads both
+    assert d.spec_t.threshold == ref[0][2]
+    assert [b.shape[1] for b in d.spec_tstar.bases()] == [67, 183, 0]
+    assert inertia_balance(t, j1, j2) == (d.spec_t.inertia, d.spec_tstar.inertia)
+
+
+def test_the_count_of_m_decides_a_zero_count_the_two_thresholds_split(monkeypatch):
+    # 1 - a^2 = 6e-6 is zero at the (1 + |T|)^2 cutoff of the 2-dim form, not
+    # at that of the 1-dim one; M = [[1, T^T], [T, I]] has 1 - a ~ 3e-6 below
+    # its own cutoff, so both forms count one zero, and the 1-dim form's
+    # kernel follows
+    tol = ToleranceProfile(zero=1e-6)
+    t = np.array([[np.sqrt(1.0 - 6e-6)], [0.0]])
+    args = (t, JSpace.identity(1), JSpace.identity(2), tol)
+    assert [r[1] for r in _reference_defect_counts(*args)] == [0, 1]
+    d = defect_data(*args)
+    assert (d.spec_t.inertia.n_zero, d.spec_tstar.inertia.n_zero) == (1, 1)
+    assert np.array_equal(d.d_t, np.zeros((1, 1)))
+    assert inertia_balance(*args) == (d.spec_t.inertia, d.spec_tstar.inertia)
+    # a spectrum no threshold can fit to M's counts is an internal failure
+    monkeypatch.setattr(SpectralDecomposition, "_meeting", lambda spec, n_minus, n_zero: None)
+    with pytest.raises(ConsistencyError):
+        defect_data(*args)
 
 
 def test_link_identities():

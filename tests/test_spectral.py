@@ -305,6 +305,24 @@ def test_quantities_read_off_one_decomposition():
     assert spec.power(0.5)[2, 2] > 0.0
 
 
+def test_a_spectrum_meets_prescribed_counts_by_its_threshold_alone():
+    spec = spectral_decompose(np.diag([-2.0, -4e-12, 1e-12, 3.0]))
+    assert spec.inertia == Inertia(1, 1, 2, 0)
+    # counts the threshold already gives keep it, and the spectrum itself
+    assert spec._meeting(1, 2) is spec
+    # one zero fewer: the threshold moves to the middle of the gap between
+    # the moduli 1e-12 and 4e-12, and the kernel, projector and
+    # pseudo-inverse powers follow it
+    moved = spec._meeting(2, 1)
+    assert moved.eigenvalues is spec.eigenvalues and moved.threshold == (1e-12 + 4e-12) / 2.0
+    assert moved.inertia == Inertia(1, 2, 1, 0)
+    assert np.count_nonzero(moved._pinv_values(0.5)) == 3
+    assert np.isclose(np.trace(moved.range_projector()), 3.0)
+    # no threshold keeps -4e-12 off the kernel without counting it negative,
+    # and none counts more zeros than the dimension
+    assert spec._meeting(1, 1) is None and spec._meeting(0, 5) is None
+
+
 def test_mapped_spectrum_is_the_function_of_the_matrix():
     a = np.diag([0.5, -2.0, 1.0])
     mapped = spectral_decompose(a).map(lambda w: (1.0 - w) * (1.0 + w), floor=4.0)
