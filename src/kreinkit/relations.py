@@ -1,12 +1,16 @@
 """Linear relations as graph subspaces and their extension theory.
 
 A linear relation on an ``n``-dimensional space is a subspace of the
-doubled space, held here through a read-only basis ``[F; F']`` of its graph.
-The basis is read as orthonormal, so equality is projector equality: the
-library's constructions build it so, and ``LinearRelation(n, basis)`` takes
-it as given, without a check.  One SVD ``F = U S V^T``, computed on first use,
-gives the domain, its complement, the multivalued part and the operator
-part under one rank cutoff.  The module provides the relation calculus
+doubled space, held here through a read-only orthonormal basis ``[F; F']``
+of its graph, so equality is projector equality: ``LinearRelation(n, basis)``
+rejects a basis that is not orthonormal to ``residual``, and the library's
+own constructions, which build one, skip that check.  One SVD
+``F = U S V^T``, computed on first use, gives the domain, its complement,
+the multivalued part and the operator part under one rank cutoff.  A
+selfadjoint relation whose Cayley transform ``T`` is an operator is read
+off one ``eigh`` of ``T`` instead: the resolvent, the order's shift and
+membership in the extension interval take no decomposition of the operator
+part.  The module provides the relation calculus
 (adjoint, inverse, shift, Cayley transform), classification and inertia,
 the boundary form with the projection onto ``ran(I + A)`` inserted, the
 Friedrichs and Krein-von Neumann extensions of a symmetric relation with
@@ -16,7 +20,8 @@ characterizations, and the antitonicity and uniqueness criteria.
 A relation is immutable, so what is derived from it is computed once per
 relation and tolerance profile and kept on the relation for as long as it
 lives: the graph SVD and the Cayley image (both profile-free), the
-classification, the operator part and its eigenvalues, the minimal index,
+classification, the Cayley transform and its eigendecomposition, the
+operator part and its eigenvalues (on the graph route), the minimal index,
 the :class:`ExtensionProblem` and the Friedrichs/Krein pair.  Each is
 exactly what a fresh computation returns, and its arrays are read-only.  A
 query against a relation that was queried before pays only for its other
@@ -46,7 +51,7 @@ from .spectral import (
     _cutoff,
     _inertia,
     _loewner_leq,
-    _nonnegative,
+    _mask,
     _small,
     as_matrix,
     as_symmetric,
@@ -54,6 +59,7 @@ from .spectral import (
     inertia_of,
     loewner_leq,
     negativity,
+    norm2,
     orthonormal_columns,
     projector,
     spectral_decompose,
@@ -140,14 +146,28 @@ class LinearRelation:
     first and second components of the spanning graph elements.  Generator
     representations are wildly non-unique, so :meth:`from_generators` and
     every relation-valued operation here return an orthonormal basis, and
-    relations are compared by projectors.  The constructor takes the basis
-    as given: it checks the row count, not orthonormality, which every
-    comparison and count assumes.  The basis is read-only, so what is
-    computed from it and kept in ``_memo`` stays valid for the relation's
-    lifetime.
+    relations are compared by projectors.  The constructor checks the row
+    count and orthonormality, which every comparison and count assumes: it
+    raises :class:`InvalidInput` when ``|B^T B - I| > residual`` under the
+    process default profile, and does not orthonormalize a basis that fails.
+    The basis is read-only, so what is computed from it and kept in
+    ``_memo`` stays valid for the relation's lifetime.
     """
 
     def __init__(self, space_dim: int, basis: np.ndarray):
+        self._hold(space_dim, basis)
+        gap = self._basis.T @ self._basis - np.eye(self.graph_dim)
+        if not _small(gap, resolve(None), "residual"):
+            raise InvalidInput(f"graph basis is not orthonormal: |B^T B - I| = {norm2(gap):.3e}")
+
+    @classmethod
+    def _orthonormal(cls, space_dim: int, basis: np.ndarray) -> "LinearRelation":
+        """A relation on a basis the library built orthonormal: the constructor without its check."""
+        rel = cls.__new__(cls)
+        rel._hold(space_dim, basis)
+        return rel
+
+    def _hold(self, space_dim: int, basis: np.ndarray) -> None:
         self.space_dim = int(space_dim)
         arr = np.array(basis, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != 2 * self.space_dim:
@@ -169,7 +189,7 @@ class LinearRelation:
                 f"generator blocks have shapes {f_arr.shape} and {fp_arr.shape}"
             )
         stacked = np.vstack([f_arr, fp_arr])
-        return cls(f_arr.shape[0], orthonormal_columns(stacked, tol))
+        return cls._orthonormal(f_arr.shape[0], orthonormal_columns(stacked, tol))
 
     @classmethod
     def from_operator(cls, m, tol: ToleranceProfile | None = None) -> "LinearRelation":
@@ -228,18 +248,18 @@ class LinearRelation:
         """Adjoint relation: the orthogonal complement of the flipped graph, whose basis
         ``[F'; -F]`` is orthonormal, so no rank is decided and no profile is read."""
         flipped = np.vstack([self.second, -self.first])
-        return LinearRelation(self.space_dim, complement_basis(flipped, 2 * self.space_dim))
+        return LinearRelation._orthonormal(self.space_dim, complement_basis(flipped, 2 * self.space_dim))
 
     def inverse(self) -> "LinearRelation":
-        return LinearRelation(self.space_dim, np.vstack([self.second, self.first]))
+        return LinearRelation._orthonormal(self.space_dim, np.vstack([self.second, self.first]))
 
     def negate(self) -> "LinearRelation":
-        return LinearRelation(self.space_dim, np.vstack([self.first, -self.second]))
+        return LinearRelation._orthonormal(self.space_dim, np.vstack([self.first, -self.second]))
 
     def shift(self, c: float, tol: ToleranceProfile | None = None) -> "LinearRelation":
         """Map each graph element ``(f, f')`` to ``(f, f' + c f)``."""
         stacked = np.vstack([self.first, self.second + c * self.first])
-        return LinearRelation(self.space_dim, orthonormal_columns(stacked, tol))
+        return LinearRelation._orthonormal(self.space_dim, orthonormal_columns(stacked, tol))
 
     def cayley(self, tol: ToleranceProfile | None = None) -> "LinearRelation":
         """Graph transform ``(f, f') -> (f + f', f - f') / sqrt(2)``, an involution and an
@@ -247,7 +267,7 @@ class LinearRelation:
         image, with no SVD, no rank decision and no read of ``tol``.  The image is kept."""
         def image():
             stacked = np.vstack([self.first + self.second, self.first - self.second])
-            return LinearRelation(self.space_dim, stacked / np.sqrt(2.0))
+            return LinearRelation._orthonormal(self.space_dim, stacked / np.sqrt(2.0))
 
         return memoized(self, ("cayley", None), image)
 
@@ -282,8 +302,7 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
     adds the dimension count.  The negative-squares count is the negative
     index of the symmetrized Gram.
     """
-    gram_raw = rel.first.T @ rel.second
-    symmetric = _small(gram_raw - gram_raw.T, tol, "residual", gram_raw)
+    symmetric = _symmetric(rel, tol)
     selfadjoint = symmetric and rel.graph_dim == rel.space_dim
     negatives = _form_inertia(rel, tol).n_minus
     return RelationClass(
@@ -292,6 +311,18 @@ def classify(rel: LinearRelation, tol: ToleranceProfile | None = None) -> Relati
         nonnegative=bool(symmetric and negatives == 0),
         form_negativity=negatives,
     )
+
+
+@per_profile
+def _symmetric(rel: LinearRelation, tol: ToleranceProfile) -> bool:
+    """Whether the boundary pairing vanishes on the graph: ``F^T F'`` symmetric to ``residual``."""
+    gram_raw = rel.first.T @ rel.second
+    return _small(gram_raw - gram_raw.T, tol, "residual", gram_raw)
+
+
+def _selfadjoint(rel: LinearRelation, tol: ToleranceProfile) -> bool:
+    """:func:`classify`'s ``selfadjoint``, with no count of the graph form."""
+    return rel.graph_dim == rel.space_dim and _symmetric(rel, tol)
 
 
 @per_profile
@@ -342,25 +373,74 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
 
     The operator part is inverted on the domain and extended by zero on the
     multivalued part, which is the unique bounded nonnegative realization
-    required by the resolvent ordering.
+    required by the resolvent ordering.  ``a`` is admissible when the gap
+    ``w_0 - a`` to the operator part's minimum ``w_0`` exceeds
+    ``zero (1 + |w_0|)``.  When the Cayley transform is an operator,
+    ``T = P diag(mu) P^T``, the resolvent is ``P diag(rho) P^T`` with
+    ``rho = (1 + mu) / ((1 - mu) - a (1 + mu))`` on the domain and 0 on the
+    multivalued part: one product, no solve, and well conditioned as ``mu``
+    nears -1.  Otherwise the operator part ``M`` is solved against,
+    ``U (M - a)^{-1} U^T``.
     """
     tol = resolve(tol)
-    u, _ = operator_part(rel, tol)
-    m, spec = _operator_spectrum(rel, tol)
-    w, d = spec.eigenvalues, u.shape[1]
-    if d == 0:
+    w0 = _operator_minimum(rel, tol)
+    if not np.isfinite(w0):
         return np.zeros((rel.space_dim, rel.space_dim))
-    if _small(float(w[0] - a), tol, "zero", spec.norm):
+    if _small(w0 - a, tol, "zero", abs(w0)):
         raise ShiftNotAdmissible(
-            f"shift {a} does not stay below the operator-part minimum {w[0]:.6g}"
+            f"shift {a} does not stay below the operator-part minimum {w0:.6g}"
         )
-    inv = np.linalg.solve(m - a * np.eye(d), np.eye(d))
+    spectrum = _cayley_spectrum(rel, tol)
+    if spectrum is not None:
+        mu, p, domain = spectrum
+        # zero on mul H, where 1 - mu is about 2
+        plus = np.where(domain, 1.0 + mu, 0.0)
+        return symmetrize((p * (plus / ((1.0 - mu) - a * plus))) @ p.T)
+    u, _ = operator_part(rel, tol)
+    m = _operator_spectrum(rel, tol)[0]
+    inv = np.linalg.solve(m - a * np.eye(m.shape[0]), np.eye(m.shape[0]))
     return symmetrize(u @ inv @ u.T)
 
 
 @per_profile
+def _cayley_matrix(rel: LinearRelation, tol: ToleranceProfile):
+    """The Cayley transform ``T`` of a selfadjoint relation as an ``n x n`` matrix, read off
+    the kept graph SVD of the Cayley image; ``None`` when ``T`` is multivalued."""
+    transform = rel.cayley(tol)
+    if transform.mul_dim(tol) > 0:
+        return None
+    u, images = operator_part(transform, tol)
+    return symmetrize(images @ u.T)
+
+
+@per_profile
+def _cayley_spectrum(rel: LinearRelation, tol: ToleranceProfile):
+    """``(mu, P, domain)`` of ``T = P diag(mu) P^T`` for a selfadjoint relation whose Cayley
+    transform is an operator, or ``None``, which leaves the relation to the graph route.
+
+    Over an eigenvector of ``T`` the graph holds ``(1 + mu, 1 - mu) / sqrt(2 (1 + mu^2))``,
+    so the operator part has the eigenvalue ``(1 - mu) / (1 + mu)`` there and the first
+    component's singular value is ``|1 + mu| / sqrt(2 (1 + mu^2))``.  ``domain`` masks those
+    values under the graph cutoff of :meth:`LinearRelation._graph_split`, certified to be the
+    graph SVD's own rank decision; when some value is too near the cutoff to certify, ``None``.
+    """
+    if not _selfadjoint(rel, tol):
+        return None
+    t = _cayley_matrix(rel, tol)
+    if t is None:
+        return None
+    spec = spectral_decompose(t, tol)
+    mu = spec.eigenvalues
+    values = np.abs(1.0 + mu) / (np.sqrt(2.0) * np.hypot(1.0, mu))
+    domain = _mask(values, tol, rel.space_dim, 1.0, spec.norm)
+    if domain is None:
+        return None
+    return mu, spec.eigenvectors, domain
+
+
+@per_profile
 def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
-    """The operator part ``U^T W`` on the domain and its one decomposition.
+    """The operator part ``U^T W`` on the domain and its one decomposition: the graph route.
 
     :func:`resolvent_matrix` and the order's shift both read this spectrum,
     so each operator part is decomposed once.
@@ -371,8 +451,14 @@ def _operator_spectrum(rel: LinearRelation, tol: ToleranceProfile):
 
 
 def _operator_minimum(rel: LinearRelation, tol: ToleranceProfile) -> float:
-    w = _operator_spectrum(rel, tol)[1].eigenvalues
-    return float(w[0]) if w.size else np.inf
+    """The operator part's least eigenvalue, ``inf`` on an empty domain."""
+    spectrum = _cayley_spectrum(rel, tol)
+    if spectrum is not None:
+        mu, _, domain = spectrum
+        w = (1.0 - mu[domain]) / (1.0 + mu[domain])
+    else:
+        w = _operator_spectrum(rel, tol)[1].eigenvalues
+    return float(np.min(w)) if w.size else np.inf
 
 
 def _common_bottom(rels, tol: ToleranceProfile) -> float:
@@ -483,18 +569,20 @@ def relation_leq(h1: LinearRelation, h2: LinearRelation, tol: ToleranceProfile |
 
     With a shift strictly below both operator-part minima, ``H1 <= H2``
     means ``0 <= (H2 - a)^{-1} <= (H1 - a)^{-1}``; the verdict does not
-    depend on the admissible shift.
+    depend on the admissible shift.  ``0 <= (H2 - a)^{-1}`` holds at every
+    shift :func:`resolvent_matrix` admits, whose weights ``1 / (w - a)`` are
+    then positive, so only the second inequality is tested.
     """
     tol = resolve(tol)
     for h in (h1, h2):
-        if not classify(h, tol).selfadjoint:
+        if not _selfadjoint(h, tol):
             raise NotSelfadjoint("the resolvent order compares selfadjoint relations")
     if h1.space_dim != h2.space_dim:
         raise DimensionMismatch("relations live on spaces of different dimension")
     a = _common_bottom((h1, h2), tol) - 1.0
     r1 = resolvent_matrix(h1, a, tol)
     r2 = resolvent_matrix(h2, a, tol)
-    return _nonnegative(r2, tol) and _loewner_leq(r2, r1, tol)
+    return _loewner_leq(r2, r1, tol)
 
 
 def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: ToleranceProfile | None = None) -> bool:
@@ -502,20 +590,19 @@ def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: Toleranc
 
     Decided through the Cayley transform: the candidate's transform must be
     a bounded operator sandwiched between the extreme transforms in the
-    Loewner order.
+    Loewner order.  The transform is read off the candidate's Cayley graph
+    SVD and kept, and :func:`relation_leq` decomposes that same matrix, so
+    the two decide the interval off one SVD and one ``eigh`` per candidate.
     """
     tol = resolve(tol)
-    if not classify(candidate, tol).selfadjoint:
+    if not _selfadjoint(candidate, tol):
         raise NotAnExtension("the candidate is not selfadjoint")
     if not candidate.contains(rel, tol):
         raise NotAnExtension("the candidate does not extend the relation")
     problem = extension_problem(rel, tol)
-    transform = candidate.cayley(tol)
-    if transform.mul_dim(tol) > 0:
+    t = _cayley_matrix(candidate, tol)
+    if t is None:
         return False
-    # the graph is n-dimensional, so this is an operator on the whole space
-    u, images = operator_part(transform, tol)
-    t = symmetrize(images @ u.T)
     return _loewner_leq(problem.t_min, t, tol) and _loewner_leq(t, problem.t_max, tol)
 
 

@@ -9,8 +9,10 @@ and a small kit of orthonormal-subspace helpers.
 Each decision ``norm2(R) <= bound(norm2(B), ...)`` goes through
 :func:`norm_leq`, which runs the SVDs only when Frobenius bounds straddle it.
 Counts read eigenvalues only (one ``eigvalsh``; ``eigh`` only near the
-threshold), and an internal floor ``(bound, *operands)`` such as
-``(1 + |T|)^2`` takes its SVDs only when its Frobenius bracket is too wide.
+threshold), a rank read off an ``eigh`` in place of an SVD is kept only
+clear of its cutoff (:func:`_mask`), and an internal floor
+``(bound, *operands)`` such as ``(1 + |T|)^2`` takes its SVDs only when its
+Frobenius bracket is too wide.
 An order test ``A <= B`` is settled by Cholesky factorizations of ``B - A``
 shifted to either end of its slack; ``eigvalsh`` runs only near the slack.
 
@@ -412,6 +414,21 @@ def _count(w: np.ndarray, tol: ToleranceProfile, lo: float, hi: float) -> Inerti
     n_minus = int(np.count_nonzero(w < -thr))
     n_plus = int(np.count_nonzero(w > thr))
     return Inertia(n_plus, n_minus, w.size - n_plus - n_minus, 0)
+
+
+def _mask(values: np.ndarray, tol: ToleranceProfile, size: int, floor: float, scale: float) -> np.ndarray | None:
+    """The rank mask ``values > _cutoff(tol, size, max(values), floor)`` of singular values in
+    ``[0, 1]`` read off an ``eigh`` of a matrix of norm ``scale`` instead of an SVD; ``None`` when
+    some value is within ``_GUARD * max(norm, floor) + size (size + 1) u scale`` of the cutoff.
+    The first term is :func:`_count`'s guard, which dominates the SVD's own rounding; the second
+    dominates the ``p(n) u scale`` that forming and decomposing the matrix add (Golub & Van Loan,
+    §8.1), so a mask returned is the SVD's."""
+    norm = float(np.max(values, initial=0.0))
+    thr = _cutoff(tol, size, norm, floor)
+    guard = _GUARD * max(norm, floor) + size * (size + 1) * 2.0 ** -52 * scale
+    if np.any(np.abs(values - thr) <= guard):
+        return None
+    return values > thr
 
 
 def _settle(w: np.ndarray, tol: ToleranceProfile, floor) -> float:

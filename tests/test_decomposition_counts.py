@@ -27,7 +27,9 @@ from kreinkit.lifting import defect_data, extract_lift_parameters, lift
 from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_member, split_counts
 from kreinkit.relations import (
     LinearRelation,
+    _cayley_matrix,
     ext_membership,
+    extension_problem,
     form_a1,
     friedrichs_krein,
     krein_uniqueness_relation,
@@ -102,6 +104,11 @@ def cholesky_calls(monkeypatch):
 @pytest.fixture
 def svd_calls(monkeypatch):
     return _counting(monkeypatch, "svd")
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    return _counting(monkeypatch, "solve")
 
 
 @pytest.fixture
@@ -373,20 +380,49 @@ def test_cayley_transform_makes_no_linalg_call(monkeypatch):
     assert calls == []
 
 
-def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_calls):
-    # eigh for the operator parts; each Loewner test is one Cholesky
+def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_calls, solve_calls):
+    # one eigh of each Cayley transform, which the operator part's minimum
+    # and the resolvent read; no classification count and no solve; 0 <= R2
+    # is read off the resolvent's weights, so the order is one Loewner test
     h1 = LinearRelation.from_operator(np.diag([1.0, 2.0]))
     h2 = LinearRelation.from_operator(np.diag([1.5, 3.0]))
     h1._memo, h2._memo = StoreCounter(), StoreCounter()
-    # the two classifications and one operator-part spectrum per relation
-    assert _count(decompositions, relation_leq, h1, h2) == 4
-    assert len(cholesky_calls) == 2
-    assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
-    # asked again, only the Loewner tests of the resolvents run
+    assert _count(decompositions, relation_leq, h1, h2) == 2
+    assert len(cholesky_calls) == 1 and solve_calls == []
+    assert [h._memo.stores["_cayley_spectrum"] for h in (h1, h2)] == [1, 1]
+    assert not any(h._memo.stores[key] for h in (h1, h2) for key in ("operator_part", "_operator_spectrum"))
+    # asked again, only the Loewner test of the resolvents runs
     cholesky_calls.clear()
     assert _count(decompositions, relation_leq, h1, h2) == 0
-    assert len(cholesky_calls) == 2
-    assert [h._memo.stores["operator_part"] for h in (h1, h2)] == [1, 1]
+    assert len(cholesky_calls) == 1 and solve_calls == []
+    assert [h._memo.stores["_cayley_spectrum"] for h in (h1, h2)] == [1, 1]
+
+
+def _desk_relation():
+    """A solvable relation at n = 60 with its extremes, their order decided once so that both
+    keep their Cayley spectra, and fresh candidates inside and outside the interval."""
+    rel = gens.random_solvable_relation(np.random.default_rng(8), 60, dom_dim=40)
+    a_f, a_k = friedrichs_krein(rel)
+    assert relation_leq(a_k, a_f)
+    problem = extension_problem(rel)
+    # a bump on ran(I + A)'s complement keeps the relation inside the candidate
+    outside = problem.t_max + 0.3 * problem.u2 @ problem.u2.T
+    candidates = [(0.5 * (problem.t_min + problem.t_max), True), (outside, False)]
+    return rel, a_f, a_k, [(LinearRelation.from_operator(symmetrize(t)).cayley(), inside) for t, inside in candidates]
+
+
+def test_interval_and_order_of_a_desk_candidate_share_one_svd_and_one_eigh(
+    svd_calls, eigh_calls, eigvalsh_calls, solve_calls
+):
+    rel, a_f, a_k, candidates = _desk_relation()
+    for candidate, inside in candidates:
+        for calls in (svd_calls, eigh_calls, eigvalsh_calls, solve_calls):
+            calls.clear()
+        assert ext_membership(rel, candidate) == inside
+        assert relation_leq(a_k, candidate) == inside and relation_leq(candidate, a_f)
+        # the candidate's Cayley graph SVD and one eigh of its transform
+        assert svd_calls == [(60, 60)] and eigh_calls == [(60, 60)]
+        assert eigvalsh_calls == [] and solve_calls == []
 
 
 def test_membership_on_a_kept_pair_factors_only_the_corner(eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls):
@@ -417,12 +453,13 @@ def test_queries_on_kept_instances_take_no_eigvalsh(eigvalsh_calls):
         assert _count(eigvalsh_calls, is_member, pair, t) == 0
 
 
-def test_membership_takes_only_the_candidates_classification_eigvalsh(eigvalsh_calls):
-    # the two order tests of the Cayley transforms take none
+def test_membership_takes_no_eigvalsh(eigvalsh_calls):
+    # selfadjointness counts no form, and the two order tests of the Cayley
+    # transforms are settled by Cholesky
     rel = relation()
     for ext in friedrichs_krein(rel):
         candidate = LinearRelation(ext.space_dim, ext.basis)
-        assert _count(eigvalsh_calls, ext_membership, rel, candidate) == 1
+        assert _count(eigvalsh_calls, ext_membership, rel, candidate) == 0
 
 
 def test_order_test_on_a_nonnegative_gap_takes_no_norm(norm2_calls):
@@ -488,9 +525,13 @@ def test_member_triple_decomposes_each_operator_part_once(monkeypatch):
     for ext in friedrichs_krein(rel):
         candidate = LinearRelation(ext.space_dim, ext.basis)
         decomposed.clear()
-        # verify's member triple reads the candidate's operator part twice:
-        # for the resolvent shift of the order and for its inertia
+        # verify's member triple reads the candidate's Cayley transform for
+        # the order, and its graph form for the inertia: the operator part
+        # itself is never decomposed, and no matrix twice
         relation_leq(a_k, candidate)
         relation_inertia(candidate)
+        counts = Counter(decomposed)
         u, images = operator_part(candidate)
-        assert Counter(decomposed)[symmetrize(u.T @ images).tobytes()] == 1
+        assert counts[symmetrize(u.T @ images).tobytes()] == 0
+        assert counts[_cayley_matrix(candidate, ToleranceProfile()).tobytes()] == 1
+        assert max(counts.values()) == 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kreinkit import gens, relations, spectral, verify
 from kreinkit.cli import main
 from kreinkit.errors import (
     DimensionMismatch,
+    InvalidInput,
     NotAnExtension,
     NotSelfadjoint,
     NotSolvable,
@@ -26,7 +29,7 @@ from kreinkit.relations import (
     resolvent_interval_check,
     resolvent_matrix,
 )
-from kreinkit.spectral import norm2, orthonormal_columns, subspace_distance
+from kreinkit.spectral import norm2, orthonormal_columns, subspace_distance, symmetrize
 from kreinkit.tolerances import ToleranceProfile, resolve
 
 
@@ -66,6 +69,47 @@ def test_constructor_validates_and_freezes_the_basis():
         rel.basis[0, 0] = 2.0
     with pytest.raises(AttributeError):
         rel.basis = np.eye(4)
+
+
+def test_constructor_rejects_a_basis_that_is_not_orthonormal():
+    with pytest.raises(InvalidInput):
+        LinearRelation(1, np.array([[2.0], [0.0]]))
+    tol = resolve(None)
+    rng = np.random.default_rng(64)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        q = gens.random_orthogonal(rng, 2 * n)[:, : int(rng.integers(1, 2 * n + 1))]
+        # a symmetric perturbation E of the Gram gives B^T B - I = 2E + E^2
+        e = gens.random_symmetric(rng, q.shape[1])
+        e /= 2.0 * norm2(e)
+        for gap, accepted in ((0.5 * tol.residual, True), (0.99 * tol.residual, True), (1.01 * tol.residual, False),
+                              (2.0 * tol.residual, False)):
+            basis = q @ (np.eye(q.shape[1]) + gap * e)
+            assert norm2(basis.T @ basis - np.eye(q.shape[1])) == pytest.approx(gap, rel=1e-6)
+            if accepted:
+                assert LinearRelation(n, basis).graph_dim == q.shape[1]
+            else:
+                with pytest.raises(InvalidInput):
+                    LinearRelation(n, basis)
+
+
+def test_library_constructions_skip_the_orthonormality_check(monkeypatch):
+    # every relation-valued operation builds an orthonormal basis itself
+    checked = []
+    original = relations._small
+
+    def recording(r, tol, field, *operands, **kwargs):
+        checked.append(field)
+        return original(r, tol, field, *operands, **kwargs)
+
+    rel = gens.random_solvable_relation(np.random.default_rng(65), 4)
+    monkeypatch.setattr(relations, "_small", recording)
+    for made in (rel.adjoint(), rel.inverse(), rel.negate(), rel.shift(0.5), rel.cayley(),
+                 LinearRelation.from_generators(rel.first, rel.second), LinearRelation.from_operator(np.eye(2))):
+        assert made.graph_dim > 0
+    assert checked == []
+    LinearRelation(rel.space_dim, rel.basis)
+    assert checked == ["residual"]
 
 
 def test_operator_part_hands_out_read_only_arrays():
@@ -191,12 +235,27 @@ def test_relation_inertia_near_a_multivalued_direction(eps):
 _EXTENSION_INTERVAL_REPLAYS = [(23, 89), (64, 89), (88, 29), (182, 31), (188, 58), (231, 22), (236, 59), (2304, 86)]
 
 
+def _replay(check, seed, cases):
+    """Failures of ``check`` over the first ``cases`` cases of ``verify --suite all --seed seed``."""
+    checks = [fn for suite in verify._SUITES.values() for _, fn in suite]
+    rng = np.random.default_rng([seed, checks.index(check)])
+    return verify._run_cases(check, rng, cases, resolve(None)).failures
+
+
 @pytest.mark.parametrize("seed,cases", _EXTENSION_INTERVAL_REPLAYS)
 def test_verify_extension_interval_replays(seed, cases):
-    checks = [fn for suite in verify._SUITES.values() for _, fn in suite]
-    index = checks.index(verify._relations_extension_interval)
-    rng = np.random.default_rng([seed, index])
-    assert verify._run_cases(verify._relations_extension_interval, rng, cases, resolve(None)).failures == 0
+    assert _replay(verify._relations_extension_interval, seed, cases) == 0
+
+
+# (seed, cases) of ``verify --suite all --cases 100`` runs whose resolvent
+# shifts check once refused an admissible shift, its bound grown with an
+# operator-part eigenvalue near a multivalued direction
+_RESOLVENT_SHIFTS_REPLAYS = [(480, 47)]
+
+
+@pytest.mark.parametrize("seed,cases", _RESOLVENT_SHIFTS_REPLAYS)
+def test_verify_resolvent_shifts_replays(seed, cases):
+    assert _replay(verify._relations_resolvent_shifts, seed, cases) == 0
 
 
 def test_cayley_scalar_and_multivalued():
@@ -387,6 +446,163 @@ def test_resolvent_matrix():
     assert np.allclose(r, np.diag([1.0, 1.0 / 3.0]))
     with pytest.raises(ShiftNotAdmissible):
         resolvent_matrix(rel, 2.0)
+
+
+def test_resolvent_shift_bound_does_not_grow_with_the_largest_eigenvalue():
+    # the operator part of verify's seed 480 case, -5.47 beside 3.0e9, on the
+    # Cayley route, and with 4.6e9, whose graph singular value 2.2e-10 lies
+    # within the guard of the cutoff 2e-10 (the graph route); the shift 0.01
+    # below the minimum is admissible on both, although a bound zero (1 + |M|)
+    # of 0.3 or 0.46 would refuse it
+    tol = resolve(None)
+    rng = np.random.default_rng(66)
+    for top, cayley_route in ((3.02342997e9, True), (4.6e9, False)):
+        lams = np.array([-5.46512722, top])
+        rel = _from_spectrum(rng, gens.random_orthogonal(rng, 2), lams, np.eye(2), 0)
+        assert (relations._cayley_spectrum(rel, tol) is not None) == cayley_route
+        assert relations._operator_minimum(rel, tol) == pytest.approx(lams[0], rel=1e-12)
+        assert 0.01 < tol.zero * (1.0 + top)
+        a = lams[0] - 0.01
+        expected = _reference_resolvent(rel, a, tol, bound=0.0)
+        got = resolvent_matrix(rel, a)
+        assert norm2(got - expected) <= tol.residual * (1.0 + norm2(expected))
+        assert norm2(got) == pytest.approx(100.0, rel=1e-6)
+        with pytest.raises(ShiftNotAdmissible):
+            resolvent_matrix(rel, lams[0])
+
+
+def _from_spectrum(rng, q, lams, w, mul):
+    """A selfadjoint relation on ``R^n`` from its spectral data, on a rotated orthonormal graph basis.
+
+    The operator part is ``U W diag(lams) W^T U^T`` on the domain ``U = q[:, :d]``
+    (``d = len(lams)``) and ``mul`` multivalued directions span ``q[:, d:]``.  The graph
+    elements over the eigenvectors are normalized before they are stacked, so an
+    eigenvalue of 1e9 costs no accuracy in the basis.
+    """
+    n, d = q.shape[0], lams.size
+    c = 1.0 / np.hypot(1.0, lams)
+    u = q[:, :d] @ w
+    basis = np.block([[u * c, np.zeros((n, mul))], [u * (lams * c), q[:, d:]]])
+    return LinearRelation(n, basis @ gens.random_orthogonal(rng, n))
+
+
+def _reference_minimum(rel, tol):
+    """The operator part's minimum as the graph route read it before: one ``eigh`` of
+    ``sym(U^T W)`` off the graph SVD.  Returns ``(minimum, |M|)``, ``(inf, 0)`` on an empty domain."""
+    u, images = operator_part(rel, tol)
+    spec = spectral.spectral_decompose(symmetrize(u.T @ images), tol)
+    return (float(spec.eigenvalues[0]), spec.norm) if u.shape[1] else (np.inf, 0.0)
+
+
+def _reference_resolvent(rel, a, tol, bound=None):
+    """The resolvent as the graph route built it before: ``U (M - a)^{-1} U^T`` by a solve, the
+    shift refused when ``w_0 - a <= zero (1 + |M|)`` (or ``bound`` when given)."""
+    u, images = operator_part(rel, tol)
+    d = u.shape[1]
+    if d == 0:
+        return np.zeros((rel.space_dim, rel.space_dim))
+    m = symmetrize(u.T @ images)
+    w0, norm = _reference_minimum(rel, tol)
+    if w0 - a <= (tol.zero * (1.0 + norm) if bound is None else bound):
+        raise ShiftNotAdmissible(f"shift {a} does not stay below {w0}")
+    return symmetrize(u @ np.linalg.solve(m - a * np.eye(d), np.eye(d)) @ u.T)
+
+
+def _reference_leq(h1, h2, tol):
+    """The resolvent order as it was decided before, with ``0 <= R2`` tested."""
+    finite = [w for w in (_reference_minimum(h, tol)[0] for h in (h1, h2)) if np.isfinite(w)]
+    a = (min(finite) if finite else 0.0) - 1.0
+    r1, r2 = _reference_resolvent(h1, a, tol), _reference_resolvent(h2, a, tol)
+    return spectral.loewner_leq(np.zeros_like(r2), r2, tol) and spectral.loewner_leq(r2, r1, tol)
+
+
+def _agreement_relation(rng, n, kind, tol):
+    """A selfadjoint relation of one of five kinds: a random operator part (0), one with the
+    eigenvalue -1, so that the Cayley transform is multivalued (1), one near a multivalued
+    direction, up to 1e9 (2), one whose graph singular value lies within the guard of the
+    cutoff (3), or one with an eigenvalue near -1, so that the transform is large (4).
+
+    The near-multivalued eigenvalue of kind 2 is never the minimum: a basis known to eps
+    fixes an eigenvalue ``lambda`` only to about ``eps lambda^2``, 2 at 1e8."""
+    if kind == 2 and n == 1:
+        kind = 0
+    mul = int(rng.integers(0, min(n, 2) + 1)) if kind == 0 else int(rng.integers(0, n - (kind == 2)))
+    d = n - mul
+    lams = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 1.0)
+    if kind == 1:
+        lams[0] = -1.0
+    elif kind == 2:
+        lams[0] = 10.0 ** rng.uniform(6.0, 9.0)
+    elif kind == 3:
+        sigma = tol.zero * n + rng.uniform(-0.5, 0.5) * spectral._GUARD
+        lams[0] = np.sqrt(1.0 / sigma ** 2 - 1.0)
+    elif kind == 4:
+        lams[0] = -1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -3.0)
+    return _from_spectrum(rng, gens.random_orthogonal(rng, n), lams, gens.random_orthogonal(rng, d), mul)
+
+
+def _ordered_pair(rng, n):
+    """Selfadjoint ``h1 <= h2`` (or, with an inertia mismatch, still ordered) sharing their
+    multivalued part, with a near-multivalued direction added to both at times."""
+    mul = int(rng.integers(0, min(n - 1, 2) + 1))
+    d = n - mul
+    big = d > 1 and bool(rng.integers(0, 2))
+    a1, a2 = gens.random_ordered_matrix_pair(rng, d - big, bool(rng.integers(0, 2)))
+    q = gens.random_orthogonal(rng, n)
+    pair = []
+    for a, top in ((a1, 1e8), (a2, 2e8)):
+        lams, w = np.linalg.eigh(a)
+        if big:
+            lams, w = np.append(lams, top), np.block([[w, np.zeros((d - 1, 1))], [np.zeros((1, d - 1)), 1.0]])
+        pair.append(_from_spectrum(rng, q, lams, w, mul))
+    return pair
+
+
+def test_cayley_route_agrees_with_the_graph_route():
+    # the operator part's minimum, the resolvent at three admissible shifts
+    # and the order verdicts, against the graph route copied above
+    tol = resolve(None)
+    rng = np.random.default_rng(67)
+    sizes = [int(rng.integers(1, 9)) for _ in range(1000)] + [60] * 20
+    rels, routes = [], Counter()
+    for i, n in enumerate(sizes):
+        kind = i % 5
+        rel = _agreement_relation(rng, n, kind, tol)
+        spectrum = relations._cayley_spectrum(rel, tol)
+        cayley_route = spectrum is not None
+        routes[kind, cayley_route] += 1
+        if kind in (1, 3) and n - rel.mul_dim(tol) > 0:
+            assert not cayley_route
+        if cayley_route:
+            # the certified mask is the graph SVD's rank decision
+            assert np.count_nonzero(~spectrum[2]) == rel.mul_dim(tol)
+        w0, norm = _reference_minimum(rel, tol)
+        got = relations._operator_minimum(rel, tol)
+        assert got == w0 or abs(got - w0) <= tol.residual * (1.0 + norm)
+        if np.isfinite(w0):
+            # shifts at the minimum's own scale: an orthonormal basis known to
+            # eps fixes an eigenvalue lambda only to about eps lambda^2
+            for gap in (2.0, 5.0, 20.0):
+                a = w0 - gap * (1.0 + abs(w0))
+                expected = _reference_resolvent(rel, a, tol)
+                r = resolvent_matrix(rel, a, tol)
+                assert norm2(r - expected) <= tol.residual * (1.0 + norm2(expected))
+        rels.append(rel)
+    # a near-multivalued direction stays on the Cayley route unless another
+    # eigenvalue nears -1 and widens the guard with |T|
+    assert routes[2, True] >= 0.9 * len(sizes) / 5 and routes[1, False] + routes[3, False] >= 300
+    assert sum(routes[kind, True] for kind in (0, 2, 4)) >= 500
+    pairs = [_ordered_pair(rng, int(rng.integers(1, 9))) for _ in range(300)]
+    pairs += [_ordered_pair(rng, 60) for _ in range(5)]
+    pairs += [(h1, h2) for h1, h2 in zip(rels, rels[1:]) if h1.space_dim == h2.space_dim]
+    pairs += [(h, LinearRelation(h.space_dim, h.basis)) for h in rels[:200]]
+    verdicts = set()
+    for h1, h2 in pairs:
+        for a, b in ((h1, h2), (h2, h1)):
+            verdict = relation_leq(a, b, tol)
+            assert verdict == _reference_leq(a, b, tol)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_relation_order_shift_invariance():

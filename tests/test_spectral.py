@@ -480,7 +480,8 @@ def test_order_verdicts_of_verify_are_the_eigvalsh_verdicts(monkeypatch, capsys)
                                            ("_nonnegative", recording_nonnegative, original_nonnegative)):
                 if getattr(module, attr, None) is wrapped:
                     monkeypatch.setattr(module, attr, wrapper)
-    for seed in range(3):
+    # four seeds: the resolvent order decides 0 <= R2 from its weights, not by an order test
+    for seed in range(4):
         assert main(["verify", "--suite", "all", "--seed", str(seed), "--cases", "5"]) == 0
     capsys.readouterr()
     assert {verdict for *_, verdict in recorded} == {True, False}
