@@ -8,9 +8,9 @@ own constructions, which build one, skip that check.  One SVD
 ``F = U S V^T``, computed on first use, gives the domain, its complement,
 the multivalued part and the operator part under one rank cutoff.  A
 selfadjoint relation whose Cayley transform ``T`` is an operator is read
-off one ``eigh`` of ``T`` instead: the resolvent, the order's shift and
-membership in the extension interval take no decomposition of the operator
-part.  The module provides the relation calculus
+off one ``eigh`` of ``T``, solved from the Cayley image where that is certified:
+the resolvent, the order's shift, the inertia and membership in the extension
+interval take no SVD.  The module provides the relation calculus
 (adjoint, inverse, shift, Cayley transform), classification and inertia,
 the boundary form with the projection onto ``ran(I + A)`` inserted, the
 Friedrichs and Krein-von Neumann extensions of a symmetric relation with
@@ -51,8 +51,10 @@ from .spectral import (
     _cutoff,
     _inertia,
     _loewner_leq,
+    _mapped_count,
     _mask,
     _small,
+    _solved_graph,
     as_matrix,
     as_symmetric,
     complement_basis,
@@ -328,7 +330,13 @@ def _selfadjoint(rel: LinearRelation, tol: ToleranceProfile) -> bool:
 @per_profile
 def _form_inertia(rel: LinearRelation, tol: ToleranceProfile) -> Inertia:
     """Inertia of the graph form ``sym(F^T F')`` at floor 1, counted once for :func:`classify`
-    and :func:`relation_inertia`: graph bases are orthonormal, so the form has unit natural scale."""
+    and :func:`relation_inertia`: graph bases are orthonormal, so the form has unit natural scale.
+    On the Cayley route it reads ``(1 - mu^2) / (2 (1 + mu^2))`` over each eigenvector of ``T``."""
+    spectrum = _cayley_spectrum(rel, tol)
+    if spectrum is not None:
+        form = _mapped_count(spectrum[0], lambda mu: (1.0 - mu * mu) / (2.0 * (1.0 + mu * mu)), tol, 1.0)
+        if form is not None:
+            return form
     gram = symmetrize(rel.first.T @ rel.second)
     return _inertia(gram, tol, 1.0) if gram.size else Inertia(0, 0, 0)
 
@@ -359,11 +367,13 @@ def relation_inertia(rel: LinearRelation, tol: ToleranceProfile | None = None) -
     ``lambda / (1 + lambda^2)``, and vanishes on ``mul H`` (Azizov & Iokhvidov,
     1989): ``i_plus`` and ``i_minus`` are its counts at unit scale, ``i_inf`` is
     ``mul_dim`` and ``i_zero`` the rest, so a domain direction the form reads as
-    zero counts in ``i_zero``.
+    zero counts in ``i_zero``.  On the Cayley route ``i_inf`` counts the values
+    off the certified domain mask, so no graph SVD is taken.
     """
-    if not classify(rel, tol).selfadjoint:
+    if not _selfadjoint(rel, tol):
         raise NotSelfadjoint("relation inertia is defined for selfadjoint relations")
-    form, i_inf = _form_inertia(rel, tol), rel.mul_dim(tol)
+    form, spectrum = _form_inertia(rel, tol), _cayley_spectrum(rel, tol)
+    i_inf = rel.mul_dim(tol) if spectrum is None else int(np.count_nonzero(~spectrum[2]))
     i_zero = rel.space_dim - form.n_plus - form.n_minus - i_inf
     return RelationInertia(form.n_plus, form.n_minus, i_zero, i_inf)
 
@@ -404,9 +414,17 @@ def resolvent_matrix(rel: LinearRelation, a: float, tol: ToleranceProfile | None
 
 @per_profile
 def _cayley_matrix(rel: LinearRelation, tol: ToleranceProfile):
-    """The Cayley transform ``T`` of a selfadjoint relation as an ``n x n`` matrix, read off
-    the kept graph SVD of the Cayley image; ``None`` when ``T`` is multivalued."""
+    """The Cayley transform ``T = Y X^{-1}`` of a selfadjoint relation, ``[X; Y]`` the Cayley
+    image's basis, as an ``n x n`` matrix; ``None`` when ``T`` is multivalued.  One LU solve
+    gives it when :func:`spectral._solved_graph` certifies it; otherwise (a failed solve, a
+    non-finite or uncertified ``T``) it is read off the kept graph SVD of ``X``."""
     transform = rel.cayley(tol)
+    try:
+        t = np.linalg.solve(transform.first.T, transform.second.T)
+    except np.linalg.LinAlgError:
+        t = None
+    if t is not None and _solved_graph(t, tol, rel.space_dim):
+        return symmetrize(t)
     if transform.mul_dim(tol) > 0:
         return None
     u, images = operator_part(transform, tol)
@@ -590,9 +608,10 @@ def ext_membership(rel: LinearRelation, candidate: LinearRelation, tol: Toleranc
 
     Decided through the Cayley transform: the candidate's transform must be
     a bounded operator sandwiched between the extreme transforms in the
-    Loewner order.  The transform is read off the candidate's Cayley graph
-    SVD and kept, and :func:`relation_leq` decomposes that same matrix, so
-    the two decide the interval off one SVD and one ``eigh`` per candidate.
+    Loewner order.  The transform is solved from the candidate's Cayley
+    image and kept (its graph SVD runs only when the solve is not
+    certified), and :func:`relation_leq` decomposes that same matrix, so the
+    two decide the interval off one ``solve`` and one ``eigh`` per candidate.
     """
     tol = resolve(tol)
     if not _selfadjoint(candidate, tol):

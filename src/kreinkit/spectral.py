@@ -9,8 +9,8 @@ and a small kit of orthonormal-subspace helpers.
 Each decision ``norm2(R) <= bound(norm2(B), ...)`` goes through
 :func:`norm_leq`, which runs the SVDs only when Frobenius bounds straddle it.
 Counts read eigenvalues only (one ``eigvalsh``; ``eigh`` only near the
-threshold), a rank read off an ``eigh`` in place of an SVD is kept only
-clear of its cutoff (:func:`_mask`), and an internal floor
+threshold), a rank read off an ``eigh`` or a solve in place of an SVD is kept
+only clear of its cutoff (:func:`_mask`, :func:`_solved_graph`), and an internal floor
 ``(bound, *operands)`` such as ``(1 + |T|)^2`` takes its SVDs only when its
 Frobenius bracket is too wide.
 An order test ``A <= B`` is settled by Cholesky factorizations of ``B - A``
@@ -429,6 +429,24 @@ def _mask(values: np.ndarray, tol: ToleranceProfile, size: int, floor: float, sc
     if np.any(np.abs(values - thr) <= guard):
         return None
     return values > thr
+
+
+def _mapped_count(w: np.ndarray, f, tol: ToleranceProfile, floor: float) -> Inertia | None:
+    """The inertia of ``f(A)`` at ``floor`` off the kept eigenvalues ``w`` of ``A``, certified as
+    :func:`_count` certifies it, so the count of ``f(A)``'s own decomposition; or ``None``."""
+    return _count(f(w), tol, floor, floor)
+
+
+def _solved_graph(t: np.ndarray, tol: ToleranceProfile, size: int) -> bool:
+    """Whether ``T = Y X^{-1}``, solved from an orthonormal ``size``-dimensional graph basis
+    ``[X; Y]``, certifies the rank and the mask that the SVD of ``X`` would decide.  ``Y = T X``
+    and ``X^T X + Y^T Y = I`` give ``X X^T = (I + T^T T)^{-1}``, so ``s_min(X) = 1 / sqrt(1 + |T|^2)``,
+    with ``|T|`` at most ``|T|_F`` plus the solve's forward error ``3 size u kappa(X) |T|_F``,
+    ``kappa(X) <= sqrt(1 + |T|^2)`` (Higham 2002, §9, at partial pivoting's small growth).  That
+    error must stay within half of :func:`_mask`'s guard, and ``s_min(X)`` clear of the cutoff by it."""
+    fro = math.sqrt(float(np.vdot(t, t)))
+    err = 3 * size * 2.0 ** -52 * fro * math.hypot(1.0, fro)
+    return err <= _GUARD / 2 and 1.0 / math.hypot(1.0, fro + err) > _cutoff(tol, size, 1.0) + _GUARD
 
 
 def _settle(w: np.ndarray, tol: ToleranceProfile, floor) -> float:

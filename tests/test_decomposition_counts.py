@@ -28,6 +28,7 @@ from kreinkit.quasicontraction import SymmetricColumn, extremal_extensions, is_m
 from kreinkit.relations import (
     LinearRelation,
     _cayley_matrix,
+    classify,
     ext_membership,
     extension_problem,
     form_a1,
@@ -343,21 +344,34 @@ def test_relation_pipelines_factor_each_graph_once(svd_calls):
     # shares, and one SVD per extreme's graph
     assert _count(svd_calls, friedrichs_krein, relation()) == 3
     _, a_k = friedrichs_krein(relation())
-    # on a fresh relation: its Cayley graph and the candidate's
-    assert _count(svd_calls, ext_membership, relation(), a_k) == 2
+    # on a fresh relation: its Cayley graph; the candidate's transform is solved
+    assert _count(svd_calls, ext_membership, relation(), a_k) == 1
 
 
-def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, svd_calls):
+def test_membership_after_the_extremes_pays_only_for_the_candidate(eigh_calls, svd_calls, solve_calls):
     rel = relation()
     _, a_k = friedrichs_krein(rel)
     candidate = LinearRelation(a_k.space_dim, a_k.basis)
-    eigh_calls.clear()
-    svd_calls.clear()
+    for calls in (eigh_calls, svd_calls, solve_calls):
+        calls.clear()
     assert ext_membership(rel, candidate)
-    # the candidate's classification, and its Cayley graph's SVD; the
-    # transform itself takes none
-    assert len(eigh_calls) <= 1
-    assert len(svd_calls) == 1
+    # the candidate's Cayley transform, by one solve on its Cayley image:
+    # no classification count and no graph SVD
+    assert eigh_calls == [] and svd_calls == []
+    assert solve_calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("top, svds", [(2.0, 0), (-1.0 + 1e-4, 1)], ids=["certified", "past the certificate"])
+def test_a_transform_past_the_certificate_takes_the_graph_svd(svd_calls, solve_calls, top, svds):
+    # H = diag(1, top) has T = diag(0, (1 - top) / (1 + top)); at top = -1 + 1e-4,
+    # |T| = 2e4 and the solve's error bound 3 n u |T|^2 exceeds the mask's guard,
+    # so T is read off the Cayley graph's SVD, and agrees with the solve
+    rel = LinearRelation.from_operator(np.diag([1.0, top]))
+    svd_calls.clear()
+    t = _cayley_matrix(rel, ToleranceProfile())
+    assert solve_calls == [(2, 2)] and svd_calls == [(2, 2)] * svds
+    expected = np.diag([0.0, (1.0 - top) / (1.0 + top)])
+    assert np.max(np.abs(t - expected)) <= 1e-8 * (1.0 + abs(expected[1, 1]))
 
 
 def test_projected_form_of_a_fresh_relation_takes_one_svd(svd_calls):
@@ -381,14 +395,16 @@ def test_cayley_transform_makes_no_linalg_call(monkeypatch):
 
 
 def test_relation_order_builds_each_operator_part_once(decompositions, cholesky_calls, solve_calls):
-    # one eigh of each Cayley transform, which the operator part's minimum
-    # and the resolvent read; no classification count and no solve; 0 <= R2
-    # is read off the resolvent's weights, so the order is one Loewner test
+    # one solve and one eigh of each Cayley transform, which the operator
+    # part's minimum and the resolvent read; no classification count and no
+    # solve of the resolvent; 0 <= R2 is read off the resolvent's weights,
+    # so the order is one Loewner test
     h1 = LinearRelation.from_operator(np.diag([1.0, 2.0]))
     h2 = LinearRelation.from_operator(np.diag([1.5, 3.0]))
     h1._memo, h2._memo = StoreCounter(), StoreCounter()
     assert _count(decompositions, relation_leq, h1, h2) == 2
-    assert len(cholesky_calls) == 1 and solve_calls == []
+    assert len(cholesky_calls) == 1 and solve_calls == [(2, 2), (2, 2)]
+    solve_calls.clear()
     assert [h._memo.stores["_cayley_spectrum"] for h in (h1, h2)] == [1, 1]
     assert not any(h._memo.stores[key] for h in (h1, h2) for key in ("operator_part", "_operator_spectrum"))
     # asked again, only the Loewner test of the resolvents runs
@@ -411,7 +427,7 @@ def _desk_relation():
     return rel, a_f, a_k, [(LinearRelation.from_operator(symmetrize(t)).cayley(), inside) for t, inside in candidates]
 
 
-def test_interval_and_order_of_a_desk_candidate_share_one_svd_and_one_eigh(
+def test_interval_and_order_of_a_desk_candidate_share_one_solve_and_one_eigh(
     svd_calls, eigh_calls, eigvalsh_calls, solve_calls
 ):
     rel, a_f, a_k, candidates = _desk_relation()
@@ -420,9 +436,9 @@ def test_interval_and_order_of_a_desk_candidate_share_one_svd_and_one_eigh(
             calls.clear()
         assert ext_membership(rel, candidate) == inside
         assert relation_leq(a_k, candidate) == inside and relation_leq(candidate, a_f)
-        # the candidate's Cayley graph SVD and one eigh of its transform
-        assert svd_calls == [(60, 60)] and eigh_calls == [(60, 60)]
-        assert eigvalsh_calls == [] and solve_calls == []
+        # one solve for the candidate's Cayley transform and one eigh of it
+        assert solve_calls == [(60, 60)] and eigh_calls == [(60, 60)]
+        assert svd_calls == [] and eigvalsh_calls == []
 
 
 def test_membership_on_a_kept_pair_factors_only_the_corner(eigh_calls, eigvalsh_calls, cholesky_calls, svd_calls):
@@ -510,7 +526,7 @@ def test_a_j_space_counts_its_negative_index_once(decompositions):
     assert space.negativity(tol) == 2
 
 
-def test_member_triple_decomposes_each_operator_part_once(monkeypatch):
+def test_member_triple_decomposes_each_operator_part_once(monkeypatch, svd_calls):
     decomposed = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -525,13 +541,18 @@ def test_member_triple_decomposes_each_operator_part_once(monkeypatch):
     for ext in friedrichs_krein(rel):
         candidate = LinearRelation(ext.space_dim, ext.basis)
         decomposed.clear()
+        svd_calls.clear()
         # verify's member triple reads the candidate's Cayley transform for
-        # the order, and its graph form for the inertia: the operator part
-        # itself is never decomposed, and no matrix twice
+        # the order, and the classification and the inertia off its kept
+        # spectrum: neither the operator part nor the graph form is
+        # decomposed, no graph SVD is taken, and no matrix is decomposed twice
         relation_leq(a_k, candidate)
+        classify(candidate)
         relation_inertia(candidate)
+        assert svd_calls == []
         counts = Counter(decomposed)
         u, images = operator_part(candidate)
         assert counts[symmetrize(u.T @ images).tobytes()] == 0
+        assert counts[symmetrize(candidate.first.T @ candidate.second).tobytes()] == 0
         assert counts[_cayley_matrix(candidate, ToleranceProfile()).tobytes()] == 1
         assert max(counts.values()) == 1

@@ -8,6 +8,7 @@ from kreinkit.cli import main
 from kreinkit.errors import (
     DimensionMismatch,
     InvalidInput,
+    KreinkitError,
     NotAnExtension,
     NotSelfadjoint,
     NotSolvable,
@@ -603,6 +604,115 @@ def test_cayley_route_agrees_with_the_graph_route():
             assert verdict == _reference_leq(a, b, tol)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _from_cayley_spectrum(rng, mus):
+    """The selfadjoint relation whose Cayley transform has the eigenvalues ``mus`` (``inf``
+    where the transform is multivalued) on random eigenvectors, on a rotated graph basis.
+
+    Over an eigenvector the graph holds ``(1 + mu, 1 - mu) / sqrt(2 (1 + mu^2))``, and
+    ``(1, -1) / sqrt(2)`` where ``mu`` is infinite: the relation has the eigenvalue -1 there."""
+    n = mus.size
+    finite = np.isfinite(mus)
+    safe = np.where(finite, mus, 0.0)
+    c = np.where(finite, 1.0 / (np.sqrt(2.0) * np.hypot(1.0, safe)), 0.0)
+    top = np.where(finite, (1.0 + safe) * c, np.sqrt(0.5))
+    bottom = np.where(finite, (1.0 - safe) * c, -np.sqrt(0.5))
+    p = gens.random_orthogonal(rng, n)
+    basis = np.vstack([p * top, p * bottom]) @ gens.random_orthogonal(rng, n)
+    return LinearRelation(n, basis)
+
+
+def _cayley_kind(rng, n, kind, tol):
+    """Cayley eigenvalues of one of five kinds: random (0), some pinned at -1, so that the
+    relation is multivalued (1), some near +1 or -1 (2), ``|T|_F`` on either side of the
+    solve's certificate (3), or some infinite or nearly so, so that ``X`` is singular or
+    nearly so (4)."""
+    mus = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 1.0)
+    k = int(rng.integers(1, min(n, 2) + 1))
+    if kind == 1:
+        mus[:k] = -1.0
+    elif kind == 2:
+        mus[:k] = rng.choice([-1.0, 1.0], k) + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12.0, -3.0, k)
+    elif kind == 3:
+        # the Frobenius norm at which the solve's error bound 3 n u f sqrt(1 + f^2) meets half the guard
+        limit = np.sqrt(spectral._GUARD / (6.0 * n * 2.0 ** -52))
+        mus = mus / np.linalg.norm(mus) * limit * rng.uniform(0.8, 1.25)
+    elif kind == 4:
+        mus[:k] = np.inf if rng.integers(0, 2) else 1.0 / (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -8.0))
+    return mus
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KreinkitError as exc:
+        return type(exc)
+
+
+def _route_data(h, rel, other, c, tol):
+    """What each route decides on ``h``: its transform, spectrum, inertia, the interval
+    membership over the restriction ``rel`` and the order against ``h + c`` and ``other``."""
+    spectrum = relations._cayley_spectrum(h, tol)
+    above = h.shift(c)
+    return {
+        "t": relations._cayley_matrix(h, tol),
+        "mask": None if spectrum is None else spectrum[2],
+        "inertia": relation_inertia(h, tol),
+        "member": _outcome(ext_membership, rel, h, tol),
+        "order": [_outcome(relation_leq, a, b, tol) for a, b in ((h, above), (above, h), (h, other), (other, h))],
+    }
+
+
+def test_solved_transform_agrees_with_the_graph_svd(monkeypatch):
+    # the transform solved from the Cayley image against the same relations on
+    # the forced graph-SVD route: T to residual, the domain mask, the inertia and
+    # the membership and order verdicts
+    tol = resolve(None)
+    rng = np.random.default_rng(68)
+    sizes = [int(rng.integers(1, 9)) for _ in range(540)] + [int(rng.integers(9, 61)) for _ in range(50)] + [60] * 10
+    previous, routes, verdicts, multivalued = {}, Counter(), Counter(), 0
+
+    def fresh(r):
+        return LinearRelation(r.space_dim, r.basis)
+
+    for i, n in enumerate(sizes):
+        kind = i % 5
+        h = _from_cayley_spectrum(rng, _cayley_kind(rng, n, kind, tol))
+        rel = LinearRelation(n, h.basis @ gens.random_orthogonal(rng, n)[:, : int(rng.integers(0, n))])
+        # shifts at the minimum's own scale: an eigenvalue lambda near a
+        # multivalued direction is fixed only to about u lambda^2
+        w0 = relations._operator_minimum(h, tol)
+        c = 0.5 * (1.0 + abs(w0)) if np.isfinite(w0) else 0.5
+        other = previous[n] if n in previous else h.shift(-c)
+        previous[n] = h
+        got = _route_data(h, rel, other, c, tol)
+        solved = ("graph_svd", None) not in h.cayley()._memo
+        routes[kind, solved] += 1
+        with monkeypatch.context() as m:
+            m.setattr(relations, "_solved_graph", lambda t, tol, size: False)
+            want = _route_data(fresh(h), fresh(rel), fresh(other), c, tol)
+        if want["t"] is None:
+            assert got["t"] is None and not solved
+            multivalued += 1
+        else:
+            assert norm2(got["t"] - want["t"]) <= tol.residual * (1.0 + norm2(want["t"]))
+        if got["mask"] is not None or want["mask"] is not None:
+            assert np.array_equal(got["mask"], want["mask"])
+            assert np.count_nonzero(~got["mask"]) == h.mul_dim(tol)
+        # and both against the graph form's own count and the graph SVD
+        form = spectral.inertia_of(symmetrize(h.first.T @ h.second), tol, 1.0)
+        assert got["inertia"] == want["inertia"]
+        assert (got["inertia"].i_plus, got["inertia"].i_minus, got["inertia"].i_inf) == (
+            form.n_plus, form.n_minus, h.mul_dim(tol))
+        assert got["member"] == want["member"] and got["order"] == want["order"]
+        verdicts.update(v for v in [got["member"], *got["order"]] if isinstance(v, bool))
+    # the solve is certified on most relations and falls back past the certificate;
+    # a singular X always falls back
+    assert sum(routes[kind, True] for kind in (0, 1, 2)) >= 0.9 * 3 * len(sizes) / 5
+    assert routes[3, True] >= 20 and routes[3, False] >= 20
+    assert routes[4, False] >= 0.9 * len(sizes) / 5 and multivalued >= 50
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
 def test_relation_order_shift_invariance():
